@@ -2,13 +2,14 @@
 counts, the too-small / too-large / good bundle systems, and constructive
 pairing of per-agent fair partitions into fair allocations.
 
-The counting pipeline never tests bundles one at a time. One
-covering-neighbor sweep per item turns a valuation table into the per-bundle
-removal thresholds for all 2^m bundles at once, giving a boolean vector of
-EF1 (or EFX) bundles; reversing a vector indexes it by complements, so
-counting allocations is a vectorized AND. Total cost is O(m * 2^m) with
-O(2^m) memory, which keeps m = 20+ tables practical. Results are exact and
-independent of traversal order.
+Nothing here tests bundles one at a time. Every function reads the two
+per-valuation bundle masks, `Valuation.ef1_mask` and `Valuation.efx_mask`:
+boolean vectors over all 2^m bundles. The first query on a valuation costs
+one O(m * 2^m) covering-neighbor sweep per mask, and each mask then lives,
+read-only, as long as the valuation does. Reversing a mask indexes it by
+complements, so counting allocations is a vectorized AND. Memory is O(2^m),
+which keeps m = 20+ tables practical. Results are exact and independent of
+traversal order.
 """
 from __future__ import annotations
 
@@ -17,49 +18,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import fairness, model
+from . import model
 from .combinatorics import binom
 from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight_efx_instance
-
-_I64_MIN = np.iinfo(np.int64).min
-_I64_MAX = np.iinfo(np.int64).max
-
-
-# ---------------------------------------------------------------------------
-# bundle masks
-
-
-def ef1_bundle_mask(v: Valuation) -> np.ndarray:
-    """Boolean vector over all bundles: entry b iff bundle b is EF1 for `v`.
-
-    A bundle is EF1 exactly when its value reaches min(complement's value,
-    complement's cheapest single-item removal); the sweep computes that
-    threshold for every bundle simultaneously.
-    """
-    t = v.table
-    thresh = np.full(t.shape, _I64_MAX, dtype=np.int64)
-    for i in range(v.m):
-        bit = 1 << i
-        tv = t.reshape(-1, 2 * bit)
-        th = thresh.reshape(-1, 2 * bit)
-        np.minimum(th[:, bit:], tv[:, :bit], out=th[:, bit:])
-    np.minimum(thresh, t, out=thresh)
-    return t >= thresh[::-1]
-
-
-def efx_bundle_mask(v: Valuation) -> np.ndarray:
-    """Boolean vector over all bundles: entry b iff bundle b is EFX for `v`.
-
-    EFX compares against the complement's costliest single-item removal
-    (vacuously true for the full bundle)."""
-    t = v.table
-    worst = np.full(t.shape, _I64_MIN, dtype=np.int64)
-    for i in range(v.m):
-        bit = 1 << i
-        tv = t.reshape(-1, 2 * bit)
-        wv = worst.reshape(-1, 2 * bit)
-        np.maximum(wv[:, bit:], tv[:, :bit], out=wv[:, bit:])
-    return t >= worst[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +35,7 @@ def count_ef1_allocations(inst: Instance) -> int:
     >>> count_ef1_allocations(tight_ef1_instance(5))
     12
     """
-    good = ef1_bundle_mask(inst.v1) & ef1_bundle_mask(inst.v2)[::-1]
+    good = inst.v1.ef1_mask & inst.v2.ef1_mask[::-1]
     return int(np.count_nonzero(good))
 
 
@@ -84,7 +45,7 @@ def count_efx_allocations(inst: Instance) -> int:
     >>> count_efx_allocations(tight_efx_instance(5))
     2
     """
-    good = efx_bundle_mask(inst.v1) & efx_bundle_mask(inst.v2)[::-1]
+    good = inst.v1.efx_mask & inst.v2.efx_mask[::-1]
     return int(np.count_nonzero(good))
 
 
@@ -125,7 +86,7 @@ def extract_set_systems(v: Valuation) -> SetSystems:
     >>> systems.too_small, systems.too_large, sorted(systems.good)
     ({0}, {3}, [1, 2])
     """
-    ef1 = ef1_bundle_mask(v)
+    ef1 = v.ef1_mask
     comp_ef1 = ef1[::-1]
     return SetSystems(
         _mask_to_set(~ef1),
@@ -141,16 +102,13 @@ def verify_separation(v: Valuation) -> bool:
     Checked without pairwise scans: distance < 2 would require an equal pair
     or a covering pair across the classes, so one sweep per item suffices.
     """
-    ef1 = ef1_bundle_mask(v)
+    ef1 = v.ef1_mask
     too_small = ~ef1
     too_large = ef1 & ~ef1[::-1]
     if bool(np.any(too_small & too_large)):
         return False
-    for i in range(v.m):
-        bit = 1 << i
-        ts = too_small.reshape(-1, 2 * bit)
-        tl = too_large.reshape(-1, 2 * bit)
-        if bool(np.any(ts[:, bit:] & tl[:, :bit])) or bool(np.any(ts[:, :bit] & tl[:, bit:])):
+    for _, ts_lo, ts_hi, tl_lo, tl_hi in model._covering_halves(too_small, too_large):
+        if bool(np.any(ts_hi & tl_lo)) or bool(np.any(ts_lo & tl_hi)):
             return False
     return True
 
@@ -170,7 +128,7 @@ def list_ef1_partitions(v: Valuation) -> set[int]:
     >>> list_ef1_partitions(make_additive([1]))
     {0}
     """
-    ef1 = ef1_bundle_mask(v)
+    ef1 = v.ef1_mask
     both = ef1 & ef1[::-1]
     return _mask_to_set(both[: 1 << (v.m - 1)])
 
@@ -208,7 +166,7 @@ def combine_ef1_partitions(
                 raise ValueError(
                     f"{rep} is not a canonical partition representative for m={inst.m}"
                 )
-            if not (fairness.is_ef1_bundle(v, rep) and fairness.is_ef1_bundle(v, full ^ rep)):
+            if not (v.ef1_mask[rep] and v.ef1_mask[full ^ rep]):
                 raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
     allocations: set[tuple[int, int]] = set()
     for rep in p1 & p2:
@@ -233,7 +191,7 @@ def efx_partition(v: Valuation) -> tuple[int, int]:
     >>> efx_partition(make_additive([1, 1]))
     (1, 2)
     """
-    efx = efx_bundle_mask(v)
+    efx = v.efx_mask
     both = efx & efx[::-1]
     first = int(np.argmax(both))
     if not both[first]:
@@ -302,25 +260,13 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     allocation counts appear in the report: "ef1", "efx", or "both"."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
-    ef1_masks = [ef1_bundle_mask(inst.v1), ef1_bundle_mask(inst.v2)]
-    ef1_count = None
-    if fairness_kind in ("ef1", "both"):
-        ef1_count = int(np.count_nonzero(ef1_masks[0] & ef1_masks[1][::-1]))
-    efx_count = None
-    if fairness_kind in ("efx", "both"):
-        efx_count = count_efx_allocations(inst)
-    good = []
-    too_small = []
-    for mask in ef1_masks:
-        good.append(int(np.count_nonzero(mask & mask[::-1])))
-        too_small.append(int(np.count_nonzero(~mask)))
-    separation = verify_separation(inst.v1) and verify_separation(inst.v2)
+    masks = (inst.v1.ef1_mask, inst.v2.ef1_mask)
     return CensusReport(
         m=inst.m,
         bound=f_ef1(inst.m),
-        ef1_count=ef1_count,
-        efx_count=efx_count,
-        good_count=(good[0], good[1]),
-        too_small_count=(too_small[0], too_small[1]),
-        separation_ok=separation,
+        ef1_count=count_ef1_allocations(inst) if fairness_kind in ("ef1", "both") else None,
+        efx_count=count_efx_allocations(inst) if fairness_kind in ("efx", "both") else None,
+        good_count=tuple(int(np.count_nonzero(mask & mask[::-1])) for mask in masks),
+        too_small_count=tuple(mask.size - int(np.count_nonzero(mask)) for mask in masks),
+        separation_ok=verify_separation(inst.v1) and verify_separation(inst.v2),
     )

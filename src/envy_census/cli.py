@@ -52,34 +52,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _item_count(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 1 <= m <= model.MAX_ITEMS:
-        raise argparse.ArgumentTypeError(f"m must be in 1..{model.MAX_ITEMS}, got {m}")
-    return m
+def _bounded_int(lo: int, hi: int | None = None):
+    """argparse type for an integer in lo..hi (no upper limit when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in {lo}..{'' if hi is None else hi}, got {n}"
+            )
+        return n
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
-    return n
+_positive_int = _bounded_int(1)
+# derive_seed encodes every seed in 16 signed bytes.
+_seed = _bounded_int(-(1 << 127), (1 << 127) - 1)
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -212,21 +204,17 @@ class ExperimentRow:
 def _verify_row(task: tuple[int, int]) -> ExperimentRow:
     m, row_seed = task
     start = time.perf_counter()
-    inst = model.random_instance(m, row_seed)
-    ef1 = census.count_ef1_allocations(inst)
-    efx = census.count_efx_allocations(inst)
-    separation = census.verify_separation(inst.v1) and census.verify_separation(inst.v2)
-    bound = census.f_ef1(m)
+    report = census.census_report(model.random_instance(m, row_seed))
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return ExperimentRow(
         m=m,
         seed=row_seed,
-        ef1_count=ef1,
-        efx_count=efx,
-        bound=bound,
-        ef1_ok=ef1 >= bound,
-        efx_ok=efx >= 2,
-        separation_ok=separation,
+        ef1_count=report.ef1_count,
+        efx_count=report.efx_count,
+        bound=report.bound,
+        ef1_ok=report.ef1_count >= report.bound,
+        efx_ok=report.efx_count >= 2,
+        separation_ok=report.separation_ok,
         elapsed_ms=elapsed_ms,
     )
 
@@ -321,13 +309,6 @@ def _cmd_harper(args) -> int:
 # parser
 
 
-def _harper_m(text: str) -> int:
-    m = _item_count(text)
-    if m > 12:
-        raise argparse.ArgumentTypeError(f"harper is capped at m <= 12, got {m}")
-    return m
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="envy-census",
@@ -338,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write an instance file")
     p.add_argument("kind", choices=GEN_KINDS)
-    p.add_argument("--m", type=_item_count, required=True, help="number of items")
-    p.add_argument("--seed", type=int, default=0, help="seed for random-monotone")
+    p.add_argument("--m", type=_bounded_int(1, model.MAX_ITEMS), required=True, help="number of items")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random-monotone")
     p.add_argument("--values", type=_value_list, help="agent 1 item values (additive)")
     p.add_argument("--values2", type=_value_list, help="agent 2 item values (defaults to --values)")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -359,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check guaranteed bounds on random instances")
     p.add_argument("--m-range", type=_m_range, required=True, metavar="A..B")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help=f"parallel row workers (default: ${JOBS_ENV_VAR} or 1)")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("shadow", help="level-dropping shadow bound")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=_bounded_int(0), required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_shadow)
 
@@ -376,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser("harper", help="ball-replacement distance check on random system pairs")
-    p.add_argument("--m", type=_harper_m, required=True)
+    p.add_argument("--m", type=_bounded_int(1, 12), required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_harper)
 
     return parser

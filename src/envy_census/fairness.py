@@ -1,16 +1,18 @@
-"""EF1/EFX predicates evaluated straight from their definitions, and the
-good / too-small / too-large classification of a bundle against its
-complement.
+"""EF1/EFX predicates for single bundles and allocations, and the good /
+too-small / too-large classification of a bundle against its complement.
 
-All functions are pure and read only immutable valuation tables, so they
-are safe to call concurrently.
+Each predicate is a bounds check plus a lookup in the valuation's cached
+bundle mask (`Valuation.ef1_mask` or `Valuation.efx_mask`). The first query
+on a valuation costs one O(m * 2^m) sweep; every later query on it is O(1),
+and the masks live as long as the valuation does. The masks are read-only,
+so all functions are safe to call concurrently.
 """
 from __future__ import annotations
 
 import operator
 from enum import Enum
 
-from .model import Instance, Valuation, complement, iter_items, make_additive
+from .model import Instance, Valuation, complement, make_additive
 
 
 class BundleClass(Enum):
@@ -39,12 +41,7 @@ def is_ef1_bundle(v: Valuation, bundle: int) -> bool:
     >>> is_ef1_bundle(make_additive([1, 1, 1, 1]), 0b0001)
     False
     """
-    b = _checked_bundle(v, bundle)
-    comp = complement(b, v.m)
-    t = v.table
-    if t[b] >= t[comp]:
-        return True
-    return any(t[b] >= t[comp ^ (1 << j)] for j in iter_items(comp))
+    return bool(v.ef1_mask[_checked_bundle(v, bundle)])
 
 
 def is_efx_bundle(v: Valuation, bundle: int) -> bool:
@@ -56,10 +53,7 @@ def is_efx_bundle(v: Valuation, bundle: int) -> bool:
     >>> is_efx_bundle(make_additive([1, 1, 3]), 0b001)
     False
     """
-    b = _checked_bundle(v, bundle)
-    comp = complement(b, v.m)
-    t = v.table
-    return all(t[b] >= t[comp ^ (1 << j)] for j in iter_items(comp))
+    return bool(v.efx_mask[_checked_bundle(v, bundle)])
 
 
 def is_ef1_allocation(inst: Instance, bundle_1: int) -> bool:
@@ -87,8 +81,9 @@ def classify_bundle(v: Valuation, bundle: int) -> BundleClass:
     'too-large'
     """
     b = _checked_bundle(v, bundle)
-    if not is_ef1_bundle(v, b):
+    ef1 = v.ef1_mask
+    if not ef1[b]:
         return BundleClass.TOO_SMALL
-    if is_ef1_bundle(v, complement(b, v.m)):
+    if ef1[complement(b, v.m)]:
         return BundleClass.GOOD
     return BundleClass.TOO_LARGE

@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +26,7 @@ MAX_ITEMS = 24
 # Fixed-point grid for randomly drawn values in [0, 1).
 RANDOM_DENOM = 1 << 30
 
+_INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -86,6 +88,26 @@ def iter_items(bundle: int) -> Iterator[int]:
         b ^= low
 
 
+def _covering_halves(*arrays: np.ndarray) -> Iterator[tuple]:
+    """Walk every covering pair of the bundle lattice, one item at a time.
+
+    The arrays are indexed by bundle, so each holds 2^m entries. For item i
+    this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with bit = 2^i: the two
+    halves of each array's reshape(-1, 2 * bit) view. hi_k[r, c] belongs to
+    the bundle of lo_k[r, c] plus item i, so over the m items every covering
+    pair appears exactly once. The halves are views: writing them writes the
+    arrays.
+    """
+    m = arrays[0].size.bit_length() - 1
+    for i in range(m):
+        bit = 1 << i
+        halves: list = [bit]
+        for a in arrays:
+            view = a.reshape(-1, 2 * bit)
+            halves += (view[:, :bit], view[:, bit:])
+        yield tuple(halves)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
@@ -132,11 +154,8 @@ def check_monotone(table) -> MonotoneViolation | None:
         return MonotoneViolation(0, 0, arr[0], arr[0])
     if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
         return _check_monotone_slow(list(arr))
-    m = arr.size.bit_length() - 1
-    for i in range(m):
-        bit = 1 << i
-        view = arr.reshape(-1, 2 * bit)
-        bad = view[:, bit:] < view[:, :bit]
+    for bit, lo, hi in _covering_halves(arr):
+        bad = hi < lo
         if bad.any():
             flat = int(np.argmax(bad))
             small = (flat // bit) * 2 * bit + flat % bit
@@ -169,6 +188,10 @@ class Valuation:
     threads and worker processes. `item_values` records the per-item values
     when the valuation was built additively, which lets instance files
     round-trip in the compact additive form.
+
+    `ef1_mask` and `efx_mask` are derived from the table: each costs one
+    O(m * 2^m) sweep on first access and is then kept, read-only, for as long
+    as the valuation lives (2^m bytes each).
     """
 
     m: int
@@ -177,7 +200,7 @@ class Valuation:
     item_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 1 <= self.m <= MAX_ITEMS:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or not 1 <= self.m <= MAX_ITEMS:
             raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {self.m!r}")
         if not isinstance(self.denom, int) or self.denom < 1:
             raise ValueError(f"denominator must be a positive integer, got {self.denom!r}")
@@ -204,14 +227,43 @@ class Valuation:
             raise ValueError(f"invalid bundle {bundle!r} for m={self.m}")
         return Fraction(int(self.table[b]), self.denom)
 
+    @cached_property
+    def ef1_mask(self) -> np.ndarray:
+        """Read-only boolean vector over all bundles: entry b iff bundle b is
+        EF1 for this valuation.
+
+        A bundle is EF1 exactly when its value reaches min(complement's
+        value, complement's cheapest single-item removal); one sweep
+        computes that threshold for every bundle at once.
+        """
+        t = self.table
+        thresh = np.full(t.shape, _INT64_MAX, dtype=np.int64)
+        for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
+            np.minimum(th_hi, t_lo, out=th_hi)
+        np.minimum(thresh, t, out=thresh)
+        mask = t >= thresh[::-1]
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def efx_mask(self) -> np.ndarray:
+        """Read-only boolean vector over all bundles: entry b iff bundle b is
+        EFX for this valuation.
+
+        EFX compares against the complement's costliest single-item removal
+        (vacuously true for the full bundle).
+        """
+        t = self.table
+        worst = np.full(t.shape, _INT64_MIN, dtype=np.int64)
+        for _, t_lo, _, _, w_hi in _covering_halves(t, worst):
+            np.maximum(w_hi, t_lo, out=w_hi)
+        mask = t >= worst[::-1]
+        mask.setflags(write=False)
+        return mask
+
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
-
-
-def value(v: Valuation, bundle: int) -> Fraction:
-    """Exact value of `bundle` under valuation `v`."""
-    return v.value(bundle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,28 +291,36 @@ def as_fraction(x) -> Fraction:
     """Exact Fraction from an int, Fraction, float, or numeric string.
 
     Strings may be decimals ("0.25"), ratios ("2/3"), or scientific
-    notation; floats contribute their exact binary value.
+    notation; floats contribute their exact binary value. Infinities and
+    NaN raise ValueError.
 
     >>> as_fraction("0.25")
     Fraction(1, 4)
     >>> as_fraction("2/3")
     Fraction(2, 3)
+    >>> as_fraction("inf")
+    Traceback (most recent call last):
+        ...
+    ValueError: cannot interpret 'inf' as a finite number
     """
     if isinstance(x, bool):
         raise TypeError("boolean is not a valuation value")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, (np.integer,)):
-        return Fraction(int(x))
-    if isinstance(x, (np.floating,)):
-        return Fraction(float(x))
-    if isinstance(x, str):
-        try:
+    try:
+        if isinstance(x, (int, Fraction)):
             return Fraction(x)
-        except ValueError:
+        if isinstance(x, float):
+            return Fraction(x)
+        if isinstance(x, (np.integer,)):
+            return Fraction(int(x))
+        if isinstance(x, (np.floating,)):
             return Fraction(float(x))
+        if isinstance(x, str):
+            try:
+                return Fraction(x)
+            except ValueError:
+                return Fraction(float(x))
+    except OverflowError:
+        raise ValueError(f"cannot interpret {x!r} as a finite number") from None
     raise TypeError(f"cannot interpret {x!r} as an exact number")
 
 
@@ -285,10 +345,8 @@ def make_additive(item_values: Sequence) -> Valuation:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
     table = np.zeros(1 << m, dtype=np.int64)
-    for i, num in enumerate(numers):
-        bit = 1 << i
-        view = table.reshape(-1, 2 * bit)
-        view[:, bit:] += num
+    for (_, _, hi), num in zip(_covering_halves(table), numers):
+        hi += num
     return Valuation(m, table, denom, item_values=tuple(values))
 
 
@@ -303,10 +361,8 @@ def random_monotone(m: int, seed: int) -> Valuation:
         raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {m!r}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     table = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
-    for i in range(m):
-        bit = 1 << i
-        view = table.reshape(-1, 2 * bit)
-        np.maximum(view[:, bit:], view[:, :bit], out=view[:, bit:])
+    for _, lo, hi in _covering_halves(table):
+        np.maximum(hi, lo, out=hi)
     table[0] = 0
     return Valuation(m, table, RANDOM_DENOM)
 
@@ -443,7 +499,7 @@ def instance_from_dict(data) -> Instance:
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object")
     m = data.get("m")
-    if not isinstance(m, int) or not 1 <= m <= MAX_ITEMS:
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_ITEMS:
         raise InstanceFormatError(f"'m' must be an integer in 1..{MAX_ITEMS}, got {m!r}")
     agents = data.get("agents")
     if not isinstance(agents, list) or len(agents) != 2:

@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from envy_census import (
     Instance,
+    Valuation,
     census_report,
+    classify_bundle,
     combine_ef1_partitions,
     complement,
     count_ef1_allocations,
@@ -16,6 +19,7 @@ from envy_census import (
     extract_set_systems,
     f_ef1,
     is_ef1_allocation,
+    is_ef1_bundle,
     is_efx_allocation,
     is_efx_bundle,
     list_ef1_partitions,
@@ -289,3 +293,50 @@ def test_census_report_fairness_selection():
     assert census_report(inst, "efx").ef1_count is None
     with pytest.raises(ValueError):
         census_report(inst, "all")
+
+
+# ---------------------------------------------------------------------------
+# per-valuation mask cache
+
+
+def _count_mask_sweeps(monkeypatch):
+    """Wrap both cached mask properties of Valuation so each sweep that runs
+    is counted; returns the live counts."""
+    calls = {"ef1_mask": 0, "efx_mask": 0}
+    for name in calls:
+        sweep = getattr(Valuation, name).func
+
+        def counted(v, sweep=sweep, name=name):
+            calls[name] += 1
+            return sweep(v)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Valuation, name)
+        monkeypatch.setattr(Valuation, name, prop)
+    return calls
+
+
+def test_each_mask_sweep_runs_once_per_valuation(monkeypatch):
+    calls = _count_mask_sweeps(monkeypatch)
+    inst = random_instance(6, 21)
+    report = census_report(inst)
+    cut_and_choose_efx(inst)
+    for v in (inst.v1, inst.v2):
+        extract_set_systems(v)
+        verify_separation(v)
+        efx_partition(v)
+        is_ef1_bundle(v, 5)
+        is_efx_bundle(v, 5)
+        classify_bundle(v, 5)
+    p1, p2 = list_ef1_partitions(inst.v1), list_ef1_partitions(inst.v2)
+    combine_ef1_partitions(p1, p2, inst)
+    assert (count_ef1_allocations(inst), count_efx_allocations(inst)) == (
+        report.ef1_count,
+        report.efx_count,
+    )
+    is_ef1_allocation(inst, 5)
+    is_efx_allocation(inst, 5)
+    assert calls == {"ef1_mask": 2, "efx_mask": 2}
+    for mask in (inst.v1.ef1_mask, inst.v2.efx_mask):
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]

@@ -64,6 +64,9 @@ def test_gen_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "tight-ef1", "--m", "25"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "additive", "--m", "2", "--values", "inf,1"])
+    assert exc.value.code == 1
 
 
 def test_count_reports_tight_instances(tmp_path, capsys):
@@ -125,6 +128,16 @@ def test_count_validation_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", str(nonmono))
     assert code == 2
     assert "bundle 1" in err and "superset 3" in err
+
+    non_finite = tmp_path / "non_finite.json"
+    for values in ('["inf", 1]', "[Infinity, 1]", "[-Infinity, 1]", "[NaN, 1]"):
+        non_finite.write_text(
+            '{"m": 2, "agents": [{"kind": "additive", "values": %s}, '
+            '{"kind": "additive", "values": [1, 1]}]}' % values
+        )
+        code, out, err = run_cli(capsys, "count", str(non_finite))
+        assert code == 2
+        assert out == "" and "invalid instance" in err
 
 
 def test_verify_small_range(capsys):
@@ -208,6 +221,25 @@ def test_verify_failing_row_exits_3(capsys, monkeypatch):
     assert "reproducers" in err and "seed=" in err
     rows = list(csv.reader(out.splitlines()))
     assert all(row[6] == "false" for row in rows[1:])
+
+
+SEED_COMMANDS = {
+    "gen": ["gen", "random-monotone", "--m", "1"],
+    "verify": ["verify", "--m-range", "1..1", "--trials", "1"],
+    "harper": ["harper", "--m", "1", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_range_is_checked(capsys, command):
+    argv = SEED_COMMANDS[command]
+    for seed in (-(2**127), 2**127 - 1):
+        assert main(argv + ["--seed", str(seed)]) == 0
+    for seed in (2**127, -(2**127) - 1):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", str(seed)])
+        assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_shadow_and_cascade_commands(capsys):

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envy_census import (
     BundleClass,
+    Valuation,
     bundle_of,
     classify_bundle,
     complement,
@@ -61,12 +63,50 @@ def test_classify_bundle_examples():
     assert classify_bundle(v, bundle_of([0, 1, 2])) is BundleClass.TOO_LARGE
 
 
+def _tie_heavy_table(m, seed):
+    """Monotone table of values 0..3: small random integers per bundle, then
+    the running maximum over subsets. Equal values on disjoint bundles are
+    common, unlike on the 2^30 grid of random_monotone."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, size=1 << m)
+    table[0] = 0
+    for bits in range(1 << m):
+        for j in iter_items(bits):
+            table[bits] = max(table[bits], table[bits ^ (1 << j)])
+    return Valuation(m, table)
+
+
+def _tie_heavy_valuations():
+    for values in ([2, 2], [1, 1, 2, 2], [3, 3, 3, 1, 1], [0, 0, 1, 1, 2, 2], [2] * 6, [1, 0, 1, 0, 1]):
+        yield make_additive(values)
+    for seed in range(15):
+        yield _tie_heavy_table(2 + seed % 5, seed)
+
+
 def _all_valuations_for_oracle():
     yield make_additive([1, 1, 3])
     yield make_additive([1, 1, 1, 1])
     yield make_additive([2, 0, 5, 1])
     for seed in range(6):
         yield random_monotone(5, seed)
+    yield from _tie_heavy_valuations()
+
+
+def test_tie_heavy_inputs_have_ties():
+    """For every m in 2..6, some tie-heavy valuation has a nonempty bundle
+    worth exactly as much as its nonempty complement or that complement
+    minus one item: the cases where EF1 and EFX hinge on >= rather than >."""
+    tied_sizes = set()
+    for v in _tie_heavy_valuations():
+        full = (1 << v.m) - 1
+        if any(
+            v.table[b] == v.table[c]
+            for b in range(1, full)
+            for c in [full ^ b] + [(full ^ b) ^ (1 << j) for j in iter_items(full ^ b)]
+            if c
+        ):
+            tied_sizes.add(v.m)
+    assert tied_sizes == {2, 3, 4, 5, 6}
 
 
 def test_predicates_match_definition_oracle():

@@ -23,7 +23,6 @@ from envy_census import (
     save_instance,
     tight_ef1_instance,
     tight_efx_instance,
-    value,
 )
 
 from oracles import additive_map, bundle_items
@@ -38,27 +37,27 @@ def test_bundle_helpers():
 
 def test_value_examples():
     v = make_additive([1, 1, 3])
-    assert value(v, bundle_of([0, 1])) == 2
-    assert value(v, 0) == 0
-    assert value(v, bundle_of([0, 1, 2])) == 5
+    assert v.value(bundle_of([0, 1])) == 2
+    assert v.value(0) == 0
+    assert v.value(bundle_of([0, 1, 2])) == 5
 
 
 def test_value_rejects_out_of_range_bundles():
     v = make_additive([1, 1])
     with pytest.raises(ValueError):
-        value(v, 4)
+        v.value(4)
     with pytest.raises(ValueError):
-        value(v, -1)
+        v.value(-1)
     with pytest.raises(TypeError):
-        value(v, 1.5)
+        v.value(1.5)
 
 
 def test_make_additive_tables():
     assert list(make_additive([1, 1]).table) == [0, 1, 1, 2]
     assert list(make_additive([0]).table) == [0, 0]
     v = make_additive([1, 1, 3])
-    assert value(v, bundle_of([2])) == 3
-    assert value(v, bundle_of([0, 1])) == 2
+    assert v.value(bundle_of([2])) == 3
+    assert v.value(bundle_of([0, 1])) == 2
 
 
 def test_make_additive_rejects_bad_input():
@@ -90,7 +89,7 @@ def test_additive_is_additive_on_disjoint_bundles(values, data):
     a = data.draw(st.integers(0, (1 << m) - 1))
     rest = complement(a, m)
     b = data.draw(st.integers(0, (1 << m) - 1).map(lambda x: x & rest))
-    assert value(v, a | b) == value(v, a) + value(v, b)
+    assert v.value(a | b) == v.value(a) + v.value(b)
 
 
 def test_check_monotone_examples():
@@ -123,6 +122,8 @@ def test_valuation_rejects_non_monotone_tables():
         Valuation(2, np.array([0, 1, 1]))
     with pytest.raises(ValueError):
         Valuation(0, np.array([0]))
+    with pytest.raises(ValueError, match="item count"):
+        Valuation(True, np.array([0, 1]))
 
 
 def test_valuation_table_is_frozen():
@@ -242,6 +243,8 @@ def test_instance_dict_roundtrip_float_values():
         {"m": 2, "agents": [{"kind": "weird", "values": [1, 1]}, {"kind": "additive", "values": [1, 1]}]},
         {"m": 2, "agents": [{"values": [1, 1]}, {"kind": "additive", "values": [1, 1]}]},
         {"m": 2, "agents": [{"kind": "additive", "values": [1, -1]}, {"kind": "additive", "values": [1, 1]}]},
+        {"m": True, "agents": [{"kind": "additive", "values": [1]}, {"kind": "additive", "values": [1]}]},
+        {"m": 2, "agents": [{"kind": "additive", "values": ["inf", 1]}, {"kind": "additive", "values": [1, 1]}]},
     ],
 )
 def test_instance_from_dict_rejects_bad_schemas(data):
