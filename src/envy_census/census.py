@@ -99,14 +99,13 @@ def verify_separation(v: Valuation) -> bool:
     """True iff every too-small bundle is at Hamming distance >= 2 from every
     too-large bundle; vacuously true when either class is empty.
 
-    Checked without pairwise scans: distance < 2 would require an equal pair
-    or a covering pair across the classes, so one sweep per item suffices.
+    Checked without pairwise scans: the classes are disjoint (too-large
+    bundles are EF1), so distance < 2 would require a covering pair across
+    them, and one sweep per item suffices.
     """
     ef1 = v.ef1_mask
     too_small = ~ef1
     too_large = ef1 & ~ef1[::-1]
-    if bool(np.any(too_small & too_large)):
-        return False
     for _, ts_lo, ts_hi, tl_lo, tl_hi in model._covering_halves(too_small, too_large):
         if bool(np.any(ts_hi & tl_lo)) or bool(np.any(ts_lo & tl_hi)):
             return False

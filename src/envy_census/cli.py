@@ -238,8 +238,9 @@ def _cmd_verify(args) -> int:
         for m in range(lo, hi + 1)
         for trial in range(args.trials)
     ]
-    jobs = _resolve_jobs(args.jobs)
-    if jobs > 1 and len(tasks) > 1:
+    # Rows keep task order whatever the worker count; the cap bounds the forks.
+    jobs = min(_resolve_jobs(args.jobs), len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_verify_row, tasks, chunksize=chunk))

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +29,11 @@ RANDOM_DENOM = 1 << 30
 
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
+
+# Largest exponent magnitude accepted in a numeric string, as Fraction builds
+# 10**exponent exactly. The same as CPython's default digit limit for int().
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class InstanceFormatError(ValueError):
@@ -138,7 +144,7 @@ def check_monotone(table) -> MonotoneViolation | None:
     covering pair decreases (removing one item never raises the value);
     checking covering pairs suffices because any violating subset pair
     contains a violating covering step. Otherwise returns one offending
-    pair.
+    pair, in the caller's values (int64, Python ints or Fractions alike).
 
     >>> check_monotone([0, 1, 1, 2]) is None
     True
@@ -152,8 +158,6 @@ def check_monotone(table) -> MonotoneViolation | None:
         raise ValueError("table length must be a power of two")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
-    if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
-        return _check_monotone_slow(list(arr))
     for bit, lo, hi in _covering_halves(arr):
         bad = hi < lo
         if bad.any():
@@ -161,16 +165,6 @@ def check_monotone(table) -> MonotoneViolation | None:
             small = (flat // bit) * 2 * bit + flat % bit
             large = small + bit
             return MonotoneViolation(small, large, arr[small], arr[large])
-    return None
-
-
-def _check_monotone_slow(values: list) -> MonotoneViolation | None:
-    n = len(values)
-    for s in range(1, n):
-        for j in iter_items(s):
-            below = s ^ (1 << j)
-            if values[below] > values[s]:
-                return MonotoneViolation(below, s, values[below], values[s])
     return None
 
 
@@ -291,8 +285,9 @@ def as_fraction(x) -> Fraction:
     """Exact Fraction from an int, Fraction, float, or numeric string.
 
     Strings may be decimals ("0.25"), ratios ("2/3"), or scientific
-    notation; floats contribute their exact binary value. Infinities and
-    NaN raise ValueError.
+    notation with an exponent of at most MAX_DECIMAL_EXPONENT in magnitude;
+    floats contribute their exact binary value. Infinities and NaN raise
+    ValueError.
 
     >>> as_fraction("0.25")
     Fraction(1, 4)
@@ -303,25 +298,34 @@ def as_fraction(x) -> Fraction:
         ...
     ValueError: cannot interpret 'inf' as a finite number
     """
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise TypeError("boolean is not a valuation value")
+    if isinstance(x, np.integer):
+        x = int(x)
+    elif isinstance(x, np.floating):
+        x = float(x)
+    elif isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    elif not isinstance(x, (int, float)):
+        raise TypeError(f"cannot interpret {x!r} as an exact number")
     try:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x)
-        if isinstance(x, (np.integer,)):
-            return Fraction(int(x))
-        if isinstance(x, (np.floating,)):
-            return Fraction(float(x))
-        if isinstance(x, str):
-            try:
-                return Fraction(x)
-            except ValueError:
-                return Fraction(float(x))
-    except OverflowError:
+        return Fraction(x)
+    except (OverflowError, ValueError):
         raise ValueError(f"cannot interpret {x!r} as a finite number") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact number")
+
+
+def _fixed_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact int64 fixed point of `values`: their numerators over the least
+    common denominator. Raises ValueError when a numerator leaves int64."""
+    denom = math.lcm(*(x.denominator for x in values))
+    numers = [x.numerator * (denom // x.denominator) for x in values]
+    if not (_INT64_MIN <= min(numers) and max(numers) <= _INT64_MAX):
+        raise ValueError("values do not fit 64-bit fixed point over a common denominator")
+    return numers, denom
 
 
 def make_additive(item_values: Sequence) -> Valuation:
@@ -339,8 +343,7 @@ def make_additive(item_values: Sequence) -> Valuation:
         raise ValueError(f"at most {MAX_ITEMS} items are supported")
     if any(x < 0 for x in values):
         raise ValueError("item values must be nonnegative")
-    denom = math.lcm(*(x.denominator for x in values))
-    numers = [int(x * denom) for x in values]
+    numers, denom = _fixed_point(values)
     if sum(numers) > _INT64_MAX:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
@@ -420,20 +423,22 @@ def tight_efx_instance(m: int) -> Instance:
 #   {"kind": "additive", "values": [m entries]} or
 #   {"kind": "table", "values": [2^m entries]}.
 # Entries are JSON numbers or exact-number strings ("2/3", "0.25"); the
-# writer emits non-integer values as "p/q" strings so files round-trip
-# exactly. Bundles everywhere in I/O are integers in [0, 2^m), item 0 being
-# the least-significant bit.
+# writer emits non-integer values as reduced "p/q" strings so files
+# round-trip exactly. Bundles everywhere in I/O are integers in [0, 2^m),
+# item 0 being the least-significant bit.
 
 
-def _encode_number(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _encode_number(num: int, den: int):
+    """num/den in lowest terms: an int when that is whole, else "p/q"."""
+    g = math.gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
 
 
 def _agent_to_dict(v: Valuation) -> dict:
     if v.item_values is not None:
-        return {"kind": "additive", "values": [_encode_number(x) for x in v.item_values]}
-    values = [Fraction(int(n), v.denom) for n in v.table]
-    return {"kind": "table", "values": [_encode_number(x) for x in values]}
+        values = [_encode_number(x.numerator, x.denominator) for x in v.item_values]
+        return {"kind": "additive", "values": values}
+    return {"kind": "table", "values": [_encode_number(n, v.denom) for n in v.table.tolist()]}
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -450,16 +455,6 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(dumps_instance(inst), encoding="utf-8")
 
 
-def _valuation_from_table(values: list[Fraction], m: int) -> Valuation:
-    denom = math.lcm(*(x.denominator for x in values))
-    if any(x.numerator * (denom // x.denominator) > _INT64_MAX for x in values):
-        raise InstanceFormatError(
-            "table values need a common denominator finer than 64-bit fixed point"
-        )
-    table = np.array([int(x * denom) for x in values], dtype=np.int64)
-    return Valuation(m, table, denom)
-
-
 def _agent_from_dict(data, m: int, which: int) -> Valuation:
     try:
         kind = data["kind"]
@@ -470,25 +465,17 @@ def _agent_from_dict(data, m: int, which: int) -> Valuation:
         raise InstanceFormatError(f"agent {which}: values must be a list")
     try:
         values = [as_fraction(x) for x in raw]
+        if kind == "additive" and len(values) == m:
+            return make_additive(values)
+        if kind == "table" and len(values) == 1 << m:
+            numers, denom = _fixed_point(values)
+            return Valuation(m, numers, denom)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"agent {which}: {exc}") from exc
-    try:
-        if kind == "additive":
-            if len(values) != m:
-                raise InstanceFormatError(
-                    f"agent {which}: additive needs {m} values, got {len(values)}"
-                )
-            return make_additive(values)
-        if kind == "table":
-            if len(values) != 1 << m:
-                raise InstanceFormatError(
-                    f"agent {which}: table needs 2^{m} values, got {len(values)}"
-                )
-            return _valuation_from_table(values, m)
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:
-        raise InstanceFormatError(f"agent {which}: {exc}") from exc
+    if kind == "additive":
+        raise InstanceFormatError(f"agent {which}: additive needs {m} values, got {len(raw)}")
+    if kind == "table":
+        raise InstanceFormatError(f"agent {which}: table needs 2^{m} values, got {len(raw)}")
     raise InstanceFormatError(f"agent {which}: unknown kind {kind!r}")
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,22 @@ def test_count_validation_errors(tmp_path, capsys):
         assert out == "" and "invalid instance" in err
 
 
+@pytest.mark.parametrize("value", ["-1180591620717411303424", '"1e100000000"'])
+def test_count_rejects_values_outside_fixed_point(tmp_path, capsys, value):
+    """A value below -2^63, or an exponent too large to expand, exits 2
+    with a message instead of a traceback or a huge integer."""
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"m": 1, "agents": [{"kind": "table", "values": [0, %s]}, '
+        '{"kind": "additive", "values": [1]}]}' % value
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and "invalid instance: agent 1:" in err
+
+
 def test_verify_small_range(capsys):
     code, out, err = run_cli(capsys, "verify", "--m-range", "1..3", "--trials", "2", "--seed", "1")
     assert code == 0
@@ -195,6 +212,43 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--m-range", "1..1", "--trials", "2")
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, expected",
+    [("100000", 4, 4), ("100000", 64, 6), ("3", 64, 3), ("2", 1, None), ("2", None, None)],
+)
+def test_verify_caps_worker_count(capsys, monkeypatch, jobs, cpus, expected):
+    import envy_census.cli as cli_module
+
+    monkeypatch.delenv("ENVY_CENSUS_JOBS", raising=False)
+    monkeypatch.setattr(_SerialPool, "max_workers", [])
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
+    argv = ("verify", "--m-range", "1..2", "--trials", "3", "--seed", "4")
+    _, serial, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+    assert code == 0
+    assert _SerialPool.max_workers == ([] if expected is None else [expected])
+    assert _strip_elapsed(out) == _strip_elapsed(serial)
 
 
 def test_verify_usage_errors(capsys):

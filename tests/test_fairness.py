@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from envy_census import (
     BundleClass,
+    Instance,
     Valuation,
     bundle_of,
     classify_bundle,
     complement,
+    count_ef1_allocations,
+    count_efx_allocations,
     is_ef1_allocation,
     is_ef1_bundle,
     is_efx_allocation,
@@ -148,3 +151,58 @@ def test_too_small_closed_under_item_removal(v, data):
     if classify_bundle(v, bits) is BundleClass.TOO_LARGE:
         for j in iter_items(complement(bits, v.m)):
             assert classify_bundle(v, bits | (1 << j)) is BundleClass.TOO_LARGE
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks on tie-heavy inputs up to m = 12
+
+
+def _metamorphic_valuations():
+    yield from _tie_heavy_valuations()
+    for m in (8, 10, 12):
+        yield make_additive([1 + i % 3 for i in range(m)])
+        yield make_additive([2] * (m - 1) + [m])
+        yield _tie_heavy_table(m, m)
+
+
+def _relabel(v, perm):
+    """The valuation with item i renamed to perm[i]."""
+    bundles = np.arange(1 << v.m)
+    moved = np.zeros_like(bundles)
+    for i, j in enumerate(perm):
+        moved |= ((bundles >> i) & 1) << j
+    table = np.empty_like(v.table)
+    table[moved] = v.table
+    return Valuation(v.m, table, v.denom), moved
+
+
+def test_masks_are_invariant_under_scaling():
+    for v in _metamorphic_valuations():
+        for k in (3, (2**63 - 1) // max(1, int(v.table[-1]))):
+            scaled = Valuation(v.m, v.table * k, v.denom * k)
+            assert np.array_equal(scaled.ef1_mask, v.ef1_mask)
+            assert np.array_equal(scaled.efx_mask, v.efx_mask)
+
+
+def test_efx_mask_is_a_subset_of_ef1_mask():
+    for v in _metamorphic_valuations():
+        assert not np.any(v.efx_mask & ~v.ef1_mask)
+
+
+def test_counts_are_invariant_under_agent_swap_and_item_relabelling():
+    by_m = {}
+    for v in _metamorphic_valuations():
+        by_m.setdefault(v.m, []).append(v)
+    rng = np.random.default_rng(0)
+    for m, vals in by_m.items():
+        for v1, v2 in zip(vals, vals[1:] + vals[:1]):
+            inst = Instance(v1, v2)
+            counts = (count_ef1_allocations(inst), count_efx_allocations(inst))
+            swapped = Instance(v2, v1)
+            assert (count_ef1_allocations(swapped), count_efx_allocations(swapped)) == counts
+            perm = rng.permutation(m)
+            (p1, moved), (p2, _) = _relabel(v1, perm), _relabel(v2, perm)
+            assert np.array_equal(p1.ef1_mask[moved], v1.ef1_mask)
+            assert np.array_equal(p1.efx_mask[moved], v1.efx_mask)
+            relabelled = Instance(p1, p2)
+            assert (count_ef1_allocations(relabelled), count_efx_allocations(relabelled)) == counts

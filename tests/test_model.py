@@ -1,4 +1,7 @@
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from envy_census import (
     InstanceFormatError,
     Valuation,
     bundle_of,
+    as_fraction,
     check_monotone,
     complement,
     derive_seed,
+    dumps_instance,
     instance_from_dict,
     instance_to_dict,
     iter_items,
@@ -25,7 +30,13 @@ from envy_census import (
     tight_efx_instance,
 )
 
+from envy_census.model import _fixed_point
+
 from oracles import additive_map, bundle_items
+
+DATA = Path(__file__).parent / "data"
+INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 
 
 def test_bundle_helpers():
@@ -245,6 +256,9 @@ def test_instance_dict_roundtrip_float_values():
         {"m": 2, "agents": [{"kind": "additive", "values": [1, -1]}, {"kind": "additive", "values": [1, 1]}]},
         {"m": True, "agents": [{"kind": "additive", "values": [1]}, {"kind": "additive", "values": [1]}]},
         {"m": 2, "agents": [{"kind": "additive", "values": ["inf", 1]}, {"kind": "additive", "values": [1, 1]}]},
+        {"m": 1, "agents": [{"kind": "table", "values": [0, -1180591620717411303424]}, {"kind": "additive", "values": [1]}]},
+        {"m": 1, "agents": [{"kind": "table", "values": [0, 1180591620717411303424]}, {"kind": "additive", "values": [1]}]},
+        {"m": 1, "agents": [{"kind": "table", "values": [0, "1e100000000"]}, {"kind": "additive", "values": [1]}]},
     ],
 )
 def test_instance_from_dict_rejects_bad_schemas(data):
@@ -262,3 +276,122 @@ def test_instance_from_dict_names_offending_pair():
     }
     with pytest.raises(InstanceFormatError, match="bundle 1 .* superset 3"):
         instance_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the exact fixed-point codec
+
+
+def test_as_fraction_rejects_huge_exponents_quickly():
+    for text in ("1e100000000", "1E-100000000", "2.5e+100_000_000", "1e4301"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text)
+        assert time.perf_counter() - start < 0.05
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("-3e-4300") == Fraction(-3, 10**4300)
+
+
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "abc", ""])
+def test_as_fraction_rejects_non_numbers(text):
+    with pytest.raises(ValueError, match="as a finite number"):
+        as_fraction(text)
+
+
+def test_fixed_point_range_is_two_sided():
+    assert _fixed_point([Fraction(1, 3), Fraction(1, 4), Fraction(-5, 6)]) == ([4, 3, -10], 12)
+    assert _fixed_point([Fraction(INT64_MIN), Fraction(INT64_MAX)]) == ([INT64_MIN, INT64_MAX], 1)
+    for bad in ([Fraction(INT64_MIN - 1)], [Fraction(INT64_MAX + 1)], [Fraction(2**62), Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="64-bit"):
+            _fixed_point(bad)
+
+
+def _exact_values(v):
+    return [v.value(b) for b in range(1 << v.m)]
+
+
+def _reload(inst):
+    return instance_from_dict(json.loads(dumps_instance(inst), parse_float=as_fraction))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0, "1/3", "1/4", "5/6"],
+        [0, "1/4", "1/3", "1/3", "5/6", "5/6", "5/6", 1],
+        [0, "1/3", "2/3", f"{INT64_MAX}/3"],
+        [0, 0.25, "0.5", f"{INT64_MAX // 4}.75"],
+    ],
+)
+def test_load_dump_load_is_exact(values):
+    m = len(values).bit_length() - 1
+    data = {"m": m, "agents": [{"kind": "table", "values": values},
+                               {"kind": "additive", "values": ["1/3", "1/4", "5/6"][:m]}]}
+    first = instance_from_dict(data)
+    assert _exact_values(first.v1) == [as_fraction(x) for x in values]
+    second = _reload(first)
+    for a, b in ((first.v1, second.v1), (first.v2, second.v2)):
+        assert a.denom == b.denom
+        assert np.array_equal(a.table, b.table)
+        assert _exact_values(a) == _exact_values(b)
+    assert dumps_instance(second) == dumps_instance(first)
+
+
+def test_negative_int64_edge_loads_exactly():
+    """The most negative int64 value still crosses into fixed point exactly
+    (and is then rejected as non-monotone, naming the value); one below it
+    does not fit."""
+    data = {"m": 1, "agents": [{"kind": "table", "values": [0, INT64_MIN]},
+                               {"kind": "additive", "values": [1]}]}
+    with pytest.raises(InstanceFormatError, match=f"has value {INT64_MIN}$"):
+        instance_from_dict(data)
+    data["agents"][0]["values"] = [0, INT64_MIN - 1]
+    with pytest.raises(InstanceFormatError, match="64-bit"):
+        instance_from_dict(data)
+
+
+def _small_tables(m, count):
+    """Tables of values 0..3, half of them made monotone by a running
+    maximum: ties everywhere, and violations in the rest."""
+    rng = np.random.default_rng(m)
+    for k in range(count):
+        table = rng.integers(0, 4, size=1 << m)
+        table[0] = 0
+        if k % 2 == 0:
+            for bits in range(1 << m):
+                for j in iter_items(bits):
+                    table[bits] = max(table[bits], table[bits ^ (1 << j)])
+        yield table
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_check_monotone_agrees_across_value_types(m):
+    for table in _small_tables(m, 12):
+        expected = check_monotone(table)
+        big = np.array([int(x) * 2**70 for x in table], dtype=object)
+        fractions = [Fraction(int(x), 7) for x in table]
+        for same, scale in ((big, 2**70), (fractions, Fraction(1, 7))):
+            got = check_monotone(same)
+            if expected is None:
+                assert got is None
+                continue
+            assert (got.subset, got.superset) == (expected.subset, expected.superset)
+            assert got.subset_value == same[got.subset] == int(expected.subset_value) * scale
+            assert got.superset_value == same[got.superset]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("random_monotone_m4_seed1.json", ["random-monotone", "--m", "4", "--seed", "1"]),
+        ("additive_m3.json", ["additive", "--m", "3", "--values", "1/3,1/4,5/6"]),
+    ],
+)
+def test_writer_reproduces_golden_files(tmp_path, name, argv):
+    from envy_census.cli import main
+
+    golden = (DATA / name).read_bytes()
+    out = tmp_path / name
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+    assert dumps_instance(load_instance(DATA / name)).encode() == golden
