@@ -29,6 +29,7 @@ RANDOM_DENOM = 1 << 30
 
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
+_OUT_OF_RANGE = "values do not fit 64-bit fixed point over a common denominator"
 
 # Largest exponent magnitude accepted in a numeric string, as Fraction builds
 # 10**exponent exactly. The same as CPython's default digit limit for int().
@@ -320,11 +321,21 @@ def as_fraction(x) -> Fraction:
 
 def _fixed_point(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Exact int64 fixed point of `values`: their numerators over the least
-    common denominator. Raises ValueError when a numerator leaves int64."""
-    denom = math.lcm(*(x.denominator for x in values))
-    numers = [x.numerator * (denom // x.denominator) for x in values]
-    if not (_INT64_MIN <= min(numers) and max(numers) <= _INT64_MAX):
-        raise ValueError("values do not fit 64-bit fixed point over a common denominator")
+    common denominator. Raises ValueError at the first numerator outside
+    int64, and stops the fold once denom passes 2^63 times the least
+    denominator d of a nonzero value, whose numerator (>= denom / d) can't fit."""
+    dens = {x.denominator for x in values if x}
+    limit = (1 << 63) * min(dens, default=1)
+    denom = 1
+    for d in dens:
+        denom = math.lcm(denom, d)
+        if denom > limit:
+            raise ValueError(_OUT_OF_RANGE)
+    numers = []
+    for x in values:
+        numers.append(x.numerator * (denom // x.denominator))
+        if not _INT64_MIN <= numers[-1] <= _INT64_MAX:
+            raise ValueError(_OUT_OF_RANGE)
     return numers, denom
 
 

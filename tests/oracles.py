@@ -9,9 +9,26 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
 
+import numpy as np
+
 
 def bundle_items(bits, m):
     return frozenset(i for i in range(m) if bits >> i & 1)
+
+
+def small_value_table(m, seed, monotone=True):
+    """Table of values 0..3: one uniform draw per bundle, the empty bundle
+    pinned to 0, then (if `monotone`) the running maximum over subsets.
+    Equal values on disjoint bundles are common, unlike on the 2^30 grid
+    of random_monotone."""
+    table = np.random.default_rng(seed).integers(0, 4, size=1 << m)
+    table[0] = 0
+    if monotone:
+        for bits in range(1 << m):
+            for j in range(m):
+                if bits >> j & 1:
+                    table[bits] = max(table[bits], table[bits ^ (1 << j)])
+    return table
 
 
 def valuation_map(v):

@@ -23,7 +23,7 @@ from envy_census import (
     tight_efx_instance,
 )
 
-from oracles import bundle_items, classify, ef1_ok, efx_ok, valuation_map
+from oracles import bundle_items, classify, ef1_ok, efx_ok, small_value_table, valuation_map
 
 random_valuations = st.builds(
     random_monotone, st.integers(1, 6), st.integers(0, 2**32)
@@ -66,24 +66,11 @@ def test_classify_bundle_examples():
     assert classify_bundle(v, bundle_of([0, 1, 2])) is BundleClass.TOO_LARGE
 
 
-def _tie_heavy_table(m, seed):
-    """Monotone table of values 0..3: small random integers per bundle, then
-    the running maximum over subsets. Equal values on disjoint bundles are
-    common, unlike on the 2^30 grid of random_monotone."""
-    rng = np.random.default_rng(seed)
-    table = rng.integers(0, 4, size=1 << m)
-    table[0] = 0
-    for bits in range(1 << m):
-        for j in iter_items(bits):
-            table[bits] = max(table[bits], table[bits ^ (1 << j)])
-    return Valuation(m, table)
-
-
 def _tie_heavy_valuations():
     for values in ([2, 2], [1, 1, 2, 2], [3, 3, 3, 1, 1], [0, 0, 1, 1, 2, 2], [2] * 6, [1, 0, 1, 0, 1]):
         yield make_additive(values)
     for seed in range(15):
-        yield _tie_heavy_table(2 + seed % 5, seed)
+        yield Valuation(2 + seed % 5, small_value_table(2 + seed % 5, seed))
 
 
 def _all_valuations_for_oracle():
@@ -162,7 +149,7 @@ def _metamorphic_valuations():
     for m in (8, 10, 12):
         yield make_additive([1 + i % 3 for i in range(m)])
         yield make_additive([2] * (m - 1) + [m])
-        yield _tie_heavy_table(m, m)
+        yield Valuation(m, small_value_table(m, m))
 
 
 def _relabel(v, perm):

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from envy_census import (
 
 from envy_census.model import _fixed_point
 
-from oracles import additive_map, bundle_items
+from oracles import additive_map, bundle_items, small_value_table
 
 DATA = Path(__file__).parent / "data"
 INT64_MAX = 2**63 - 1
@@ -304,6 +305,34 @@ def test_fixed_point_range_is_two_sided():
     for bad in ([Fraction(INT64_MIN - 1)], [Fraction(INT64_MAX + 1)], [Fraction(2**62), Fraction(1, 2)]):
         with pytest.raises(ValueError, match="64-bit"):
             _fixed_point(bad)
+    # Denominators past 2^63 are fine while every numerator still fits.
+    huge = 3 * 2**63
+    assert _fixed_point([Fraction(1, huge), Fraction(1, 2**63)]) == ([1, 3], huge)
+
+
+def test_coprime_denominators_are_rejected_quickly_in_little_memory():
+    """8191 values k + 1/p over distinct primes p: the least common
+    denominator of all of them has about 16 KB, and one numerator per value
+    over it would take over 100 MB. The codec must stop after a few primes."""
+    sieve = np.ones(90_000, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 300):
+        sieve[i * i :: i] &= ~sieve[i]
+    primes = np.flatnonzero(sieve)[: (1 << 13) - 1].tolist()
+    values = [0] + [f"{bin(b).count('1') * p + 1}/{p}" for b, p in enumerate(primes, 1)]
+    data = {"m": 13, "agents": [{"kind": "table", "values": values},
+                                {"kind": "additive", "values": [1] * 13}]}
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InstanceFormatError, match="agent 1: .*64-bit"):
+            instance_from_dict(data)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert elapsed < 2.0
 
 
 def _exact_values(v):
@@ -350,23 +379,12 @@ def test_negative_int64_edge_loads_exactly():
         instance_from_dict(data)
 
 
-def _small_tables(m, count):
-    """Tables of values 0..3, half of them made monotone by a running
-    maximum: ties everywhere, and violations in the rest."""
-    rng = np.random.default_rng(m)
-    for k in range(count):
-        table = rng.integers(0, 4, size=1 << m)
-        table[0] = 0
-        if k % 2 == 0:
-            for bits in range(1 << m):
-                for j in iter_items(bits):
-                    table[bits] = max(table[bits], table[bits ^ (1 << j)])
-        yield table
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
 def test_check_monotone_agrees_across_value_types(m):
-    for table in _small_tables(m, 12):
+    """Half the tables are monotone, with ties everywhere; the rest have
+    violations, and every value type must report the same first one."""
+    for k in range(12):
+        table = small_value_table(m, 12 * m + k, monotone=k % 2 == 0)
         expected = check_monotone(table)
         big = np.array([int(x) * 2**70 for x in table], dtype=object)
         fractions = [Fraction(int(x), 7) for x in table]
