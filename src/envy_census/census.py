@@ -99,15 +99,21 @@ def verify_separation(v: Valuation) -> bool:
     """True iff every too-small bundle is at Hamming distance >= 2 from every
     too-large bundle; vacuously true when either class is empty.
 
-    Checked without pairwise scans: the classes are disjoint (too-large
-    bundles are EF1), so distance < 2 would require a covering pair across
-    them, and one sweep per item suffices.
+    Checked without pairwise scans. The classes are disjoint (too-large
+    bundles are EF1), so distance < 2 would need a covering pair across them.
+    For a monotone valuation EF1 is closed upward: moving an item into a
+    bundle cannot lower its value, nor raise the value of its complement or
+    of the complement less any one item. So
+    too-small bundles form a down-set and too-large bundles, the complements
+    of too-small ones among the EF1 bundles, an up-set. A covering pair
+    across the classes therefore runs upward from a too-small bundle to a
+    too-large one, and one sweep per item looks only in that direction.
     """
     ef1 = v.ef1_mask
     too_small = ~ef1
     too_large = ef1 & ~ef1[::-1]
-    for _, ts_lo, ts_hi, tl_lo, tl_hi in model._covering_halves(too_small, too_large):
-        if bool(np.any(ts_hi & tl_lo)) or bool(np.any(ts_lo & tl_hi)):
+    for _, ts_lo, _, _, tl_hi in model._covering_halves(too_small, too_large):
+        if bool(np.any(ts_lo & tl_hi)):
             return False
     return True
 

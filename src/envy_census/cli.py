@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
-
-JOBS_ENV_VAR = "ENVY_CENSUS_JOBS"
 
 CSV_COLUMNS = (
     "m",
@@ -168,65 +165,27 @@ def _cmd_count(args) -> int:
 # verify
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One verification row: counts for a seeded random instance and whether
-    they meet the guaranteed bounds."""
-
-    m: int
-    seed: int
-    ef1_count: int
-    efx_count: int
-    bound: int
-    ef1_ok: bool
-    efx_ok: bool
-    separation_ok: bool
-    elapsed_ms: int
-
-    def as_csv(self) -> list[str]:
-        return [
-            str(self.m),
-            str(self.seed),
-            str(self.ef1_count),
-            str(self.efx_count),
-            str(self.bound),
-            _fmt_bool(self.ef1_ok),
-            _fmt_bool(self.efx_ok),
-            _fmt_bool(self.separation_ok),
-            str(self.elapsed_ms),
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return self.ef1_ok and self.efx_ok and self.separation_ok
-
-
-def _verify_row(task: tuple[int, int]) -> ExperimentRow:
+def _verify_row(task: tuple[int, int]) -> tuple[tuple, bool]:
+    """The CSV fields (in CSV_COLUMNS order) of the census of one seeded random
+    instance, and whether it meets the guaranteed bounds."""
     m, row_seed = task
     start = time.perf_counter()
     report = census.census_report(model.random_instance(m, row_seed))
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return ExperimentRow(
-        m=m,
-        seed=row_seed,
-        ef1_count=report.ef1_count,
-        efx_count=report.efx_count,
-        bound=report.bound,
-        ef1_ok=report.ef1_count >= report.bound,
-        efx_ok=report.efx_count >= 2,
-        separation_ok=report.separation_ok,
-        elapsed_ms=elapsed_ms,
+    ef1_ok = report.ef1_count >= report.bound
+    efx_ok = report.efx_count >= 2
+    fields = (
+        m,
+        row_seed,
+        report.ef1_count,
+        report.efx_count,
+        report.bound,
+        _fmt_bool(ef1_ok),
+        _fmt_bool(efx_ok),
+        _fmt_bool(report.separation_ok),
+        elapsed_ms,
     )
-
-
-def _resolve_jobs(cli_jobs) -> int:
-    if cli_jobs is not None:
-        return max(1, cli_jobs)
-    env = os.environ.get(JOBS_ENV_VAR, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    return fields, ef1_ok and efx_ok and report.separation_ok
 
 
 def _cmd_verify(args) -> int:
@@ -239,7 +198,7 @@ def _cmd_verify(args) -> int:
         for trial in range(args.trials)
     ]
     # Rows keep task order whatever the worker count; the cap bounds the forks.
-    jobs = min(_resolve_jobs(args.jobs), len(tasks), os.cpu_count() or 1)
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -250,14 +209,13 @@ def _cmd_verify(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        writer.writerows(fields for fields, _ in rows)
     finally:
         if args.out:
             out.close()
-    failures = [row for row in rows if not row.ok]
+    failures = [fields for fields, ok in rows if not ok]
     if failures:
-        seeds = ", ".join(f"m={row.m} seed={row.seed}" for row in failures)
+        seeds = ", ".join(f"m={fields[0]} seed={fields[1]}" for fields in failures)
         print(
             f"verify: {len(failures)} of {len(rows)} rows failed; reproducers: {seeds}",
             file=sys.stderr,
@@ -342,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", type=_m_range, required=True, metavar="A..B")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help=f"parallel row workers (default: ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel row workers (default: 1)")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
 

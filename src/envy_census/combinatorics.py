@@ -3,8 +3,12 @@ binomial (cascade) decomposition, the level-dropping shadow bound, Sperner
 profile feasibility, antichain checks, and Hamming distances/balls with a
 ball-replacement check for system distances.
 
-Set systems are plain collections of bundle masks; all arithmetic is exact
-Python integers. Cascade and shadow results are memoized (pure functions,
+Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
+Distance and antichain checks turn them into boolean vectors over the 2^m
+bundles, for the least m that holds every member, and walk the same
+covering-pair sweep as the census masks: O(m * 2^m) per sweep, never a scan
+over pairs of members. Binomial, cascade and shadow arithmetic is exact
+Python integers; cascade and shadow results are memoized (pure functions,
 safe for concurrent readers).
 """
 from __future__ import annotations
@@ -14,6 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from . import model
 
 
 def binom(n: int, k: int) -> int:
@@ -42,22 +50,45 @@ def hamming_distance(a: int, b: int) -> int:
     return (int(a) ^ int(b)).bit_count()
 
 
+def _bundle_vectors(*systems: Iterable[int]) -> list[np.ndarray]:
+    """Each system as a boolean vector over the 2^m bundles, for the least m
+    that holds every member of every system."""
+    members = [[int(x) for x in system] for system in systems]
+    for x in itertools.chain.from_iterable(members):
+        if not 0 <= x < 1 << model.MAX_ITEMS:
+            raise ValueError(f"bundle {x} is outside 0..2^{model.MAX_ITEMS}-1")
+    m = max(itertools.chain.from_iterable(members), default=0).bit_length()
+    vectors = [np.zeros(1 << m, dtype=bool) for _ in members]
+    for vector, system in zip(vectors, members):
+        vector[system] = True
+    return vectors
+
+
 def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
     """Minimum Hamming distance across all pairs, one from each system.
 
     Empty systems have no pairs; the sentinel math.inf is returned so that
-    downstream minimum-distance requirements hold vacuously.
+    downstream minimum-distance requirements hold vacuously. Otherwise the
+    Hamming ball around `system_a` grows by one radius per covering sweep
+    until it meets `system_b`.
 
     >>> system_distance({0b001}, {0b011, 0b100})
     1
     >>> system_distance(set(), {1})
     inf
     """
-    sa = [int(x) for x in system_a]
-    sb = [int(x) for x in system_b]
-    if not sa or not sb:
+    ball, target = _bundle_vectors(system_a, system_b)
+    if not (ball.any() and target.any()):
         return math.inf
-    return min((x ^ y).bit_count() for x in sa for y in sb)
+    radius = 0
+    while not np.any(ball & target):
+        grown = ball.copy()
+        for _, lo, hi, grown_lo, grown_hi in model._covering_halves(ball, grown):
+            grown_lo |= hi
+            grown_hi |= lo
+        ball = grown
+        radius += 1
+    return radius
 
 
 def _popcount_masks_ascending(r: int) -> Iterator[int]:
@@ -85,15 +116,9 @@ def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
     >>> len(the_hamming_ball(5, 3, 3))
     8
     """
-    if not 0 <= center < (1 << m):
-        raise ValueError(f"center {center!r} out of range for m={m}")
     if not 0 <= r <= m:
         raise ValueError(f"radius must be in 0..{m}, got {r!r}")
-    ball = set()
-    for t in range(r + 1):
-        for diff in itertools.islice(_popcount_masks_ascending(t), binom(m, t)):
-            ball.add(center ^ diff)
-    return ball
+    return a_hamming_ball(center, sum(binom(m, t) for t in range(r + 1)), m)
 
 
 def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
@@ -270,12 +295,14 @@ def is_sperner(family: Iterable[int]) -> bool:
     >>> is_sperner({0b01, 0b11})
     False
     """
-    members = [int(x) for x in set(family)]
-    for a in members:
-        for b in members:
-            if a != b and a & b == a:
-                return False
-    return True
+    (members,) = _bundle_vectors(family)
+    # above[b]: some member is a proper subset of b. Sweeping item i adds the
+    # members and marked bundles one item below, so marks compound upward.
+    above = np.zeros_like(members)
+    for _, members_lo, _, above_lo, above_hi in model._covering_halves(members, above):
+        above_hi |= above_lo
+        above_hi |= members_lo
+    return not np.any(above & members)
 
 
 def bjorner_feasible(counts: Sequence[int]) -> bool:

@@ -121,6 +121,11 @@ def first_two_sided_efx(v):
     return None
 
 
+def is_antichain(family):
+    """No member is a proper subset of another, by comparing every pair."""
+    return not any(a != b and a & b == a for a in family for b in family)
+
+
 def feasible_sperner_profiles(n):
     """All size profiles (c_0..c_{n-1}) realized by some antichain of
     nonempty subsets of an n-element set, by exhaustive family enumeration."""
@@ -128,9 +133,7 @@ def feasible_sperner_profiles(n):
     feasible = set()
     for picks in range(1, 1 << len(members)):
         family = [members[i] for i in range(len(members)) if picks >> i & 1]
-        if any(
-            a != b and a & b == a for a in family for b in family
-        ):
+        if not is_antichain(family):
             continue
         profile = [0] * n
         for s in family:

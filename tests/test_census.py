@@ -39,6 +39,7 @@ from oracles import (
     efx_ok,
     first_two_sided_efx,
     min_cross_distance,
+    small_value_table,
 )
 
 random_instances = st.builds(
@@ -145,9 +146,18 @@ def test_verify_separation_examples():
     assert verify_separation(random_monotone(8, 5))
 
 
-def test_verify_separation_matches_pairwise_distances():
+def _separation_cases():
     for seed in range(8):
-        v = random_monotone(5, seed)
+        yield random_monotone(5, seed)
+    # Tie-heavy inputs, where EF1 hinges on >= rather than >.
+    for values in ([1] * 8, [2, 2, 1, 1, 3, 3], [1, 1, 2, 2, 3, 3, 4, 4], [0, 0, 1, 1, 1]):
+        yield make_additive(values)
+    for m in range(2, 9):
+        yield Valuation(m, small_value_table(m, 100 + m))
+
+
+def test_verify_separation_matches_pairwise_distances():
+    for v in _separation_cases():
         too_small, too_large, _ = classification_systems(v)
         assert verify_separation(v) == (min_cross_distance(too_small, too_large) >= 2)
 

@@ -207,13 +207,6 @@ def test_verify_jobs_matches_serial(capsys, tmp_path):
     assert _strip_elapsed(serial.read_text()) == _strip_elapsed(parallel.read_text())
 
 
-def test_verify_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("ENVY_CENSUS_JOBS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--m-range", "1..1", "--trials", "2")
-    assert code == 0
-    assert len(out.splitlines()) == 3
-
-
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -239,7 +232,6 @@ class _SerialPool:
 def test_verify_caps_worker_count(capsys, monkeypatch, jobs, cpus, expected):
     import envy_census.cli as cli_module
 
-    monkeypatch.delenv("ENVY_CENSUS_JOBS", raising=False)
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)

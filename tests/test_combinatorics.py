@@ -1,12 +1,15 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envy_census import (
+    MAX_ITEMS,
     Cascade,
+    Valuation,
     a_hamming_ball,
     binom,
     bjorner_feasible,
@@ -24,7 +27,13 @@ from envy_census import (
     verify_harper,
 )
 
-from oracles import all_cascades, feasible_sperner_profiles, min_cross_distance
+from oracles import (
+    all_cascades,
+    feasible_sperner_profiles,
+    is_antichain,
+    min_cross_distance,
+    small_value_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +56,59 @@ def test_hamming_distance_examples():
     assert system_distance({bundle_of([0])}, {bundle_of([0, 1]), bundle_of([2])}) == 1
     assert system_distance(set(), {1}) == math.inf
     assert system_distance({1}, set()) == math.inf
+
+
+def _system_pairs():
+    """Pairs of set systems for the oracle comparisons: edge cases, seeded
+    random families at m <= 8, and the classification systems of tie-heavy
+    tables."""
+    yield set(), set()
+    yield set(), {0}
+    yield {0}, {0}
+    yield {0}, {0b11111111}
+    yield {0b11111111}, {0, 0b11111111}
+    yield {0b0110, 0b0011}, {0b0011, 0b1000}
+    rng = np.random.default_rng(17)
+    for m in range(1, 9):
+        for _ in range(6):
+            a, b = (
+                set(rng.choice(1 << m, size=int(rng.integers(1, min(12, 1 << m) + 1)),
+                               replace=False).tolist())
+                for _ in range(2)
+            )
+            yield a, b
+    for m in range(2, 9):
+        systems = extract_set_systems(Valuation(m, small_value_table(m, m)))
+        yield systems.too_small, systems.too_large
+        yield systems.good, {x for x in systems.good if x.bit_count() == m // 2}
+    for values in ([1] * 7, [2, 2, 1, 1, 3, 3]):
+        systems = extract_set_systems(make_additive(values))
+        yield systems.too_large, systems.too_small
+
+
+def test_system_distance_matches_oracle():
+    for system_a, system_b in _system_pairs():
+        assert system_distance(system_a, system_b) == min_cross_distance(system_a, system_b)
+
+
+def test_is_sperner_matches_oracle():
+    outcomes = set()
+    for pair in _system_pairs():
+        for family in pair:
+            outcomes.add(is_antichain(family))
+            assert is_sperner(family) == is_antichain(family), sorted(family)
+    assert outcomes == {True, False}
+    assert not is_sperner({0, (1 << MAX_ITEMS) - 1})
+
+
+@pytest.mark.parametrize("bundle", [-1, 1 << MAX_ITEMS])
+def test_set_system_checks_reject_out_of_range_bundles(bundle):
+    with pytest.raises(ValueError):
+        system_distance({bundle}, {0})
+    with pytest.raises(ValueError):
+        system_distance({0}, {bundle})
+    with pytest.raises(ValueError):
+        is_sperner({1, bundle})
 
 
 # ---------------------------------------------------------------------------
