@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import model
-from .combinatorics import binom
+from .combinatorics import _mask_to_set, binom
 from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight_efx_instance
 
 
@@ -73,10 +73,6 @@ class SetSystems(NamedTuple):
     too_small: set[int]
     too_large: set[int]
     good: set[int]
-
-
-def _mask_to_set(mask: np.ndarray) -> set[int]:
-    return set(map(int, np.nonzero(mask)[0]))
 
 
 def extract_set_systems(v: Valuation) -> SetSystems:

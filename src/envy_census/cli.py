@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -124,11 +123,10 @@ def _cmd_gen(args) -> int:
             return EXIT_USAGE
     else:
         inst = model.random_instance(args.m, args.seed)
-    payload = model.dumps_instance(inst)
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        model.save_instance(inst, args.out)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(model.dumps_instance(inst))
     return EXIT_OK
 
 
@@ -240,27 +238,17 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_harper(args) -> int:
-    size_cap = 1 << args.m
     failures = []
     for trial in range(args.trials):
+        # Disjoint systems (so d_original >= 1) of log-uniform sizes in 1..2^(m-1).
         rng = np.random.default_rng(model.derive_seed(args.seed, args.m, trial))
-        system_a = set(map(int, rng.choice(size_cap, size=int(rng.integers(1, size_cap + 1)), replace=False)))
-        system_b = set(map(int, rng.choice(size_cap, size=int(rng.integers(1, size_cap + 1)), replace=False)))
+        size_a, size_b = (round(2 ** rng.uniform(0, args.m - 1)) for _ in range(2))
+        system_a, system_b, _ = np.split(rng.permutation(1 << args.m), [size_a, size_a + size_b])
         report = combinatorics.verify_harper(system_a, system_b, args.m)
         if not report.ok:
             failures.append({"trial": trial, **report.to_json_dict()})
-    print(
-        json.dumps(
-            {
-                "m": args.m,
-                "trials": args.trials,
-                "seed": args.seed,
-                "all_ok": not failures,
-                "failures": failures,
-            },
-            indent=2,
-        )
-    )
+    summary = {"m": args.m, "trials": args.trials, "seed": args.seed}
+    print(json.dumps({**summary, "all_ok": not failures, "failures": failures}, indent=2))
     return EXIT_ASSERTION if failures else EXIT_OK
 
 
@@ -315,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser("harper", help="ball-replacement distance check on random system pairs")
-    p.add_argument("--m", type=_bounded_int(1, 12), required=True)
+    p.add_argument("--m", type=_bounded_int(1, 20), required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_harper)

@@ -1,13 +1,15 @@
 """Extremal set-theory kernel: exact binomials, the strictly-decreasing
 binomial (cascade) decomposition, the level-dropping shadow bound, Sperner
 profile feasibility, antichain checks, and Hamming distances/balls with a
-ball-replacement check for system distances.
+ball-replacement (Harper) check for system distances.
 
 Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
 bundles, for the least m that holds every member, and walk the same
 covering-pair sweep as the census masks: O(m * 2^m) per sweep, never a scan
-over pairs of members. Binomial, cascade and shadow arithmetic is exact
+over pairs of members. A Hamming ball is a prefix of one order of the 2^m
+bundles by (item count, value), XOR-ed with its center; sets are built only
+at the public boundary. Binomial, cascade and shadow arithmetic is exact
 Python integers; cascade and shadow results are memoized (pure functions,
 safe for concurrent readers).
 """
@@ -16,8 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,20 +66,13 @@ def _bundle_vectors(*systems: Iterable[int]) -> list[np.ndarray]:
     return vectors
 
 
-def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
-    """Minimum Hamming distance across all pairs, one from each system.
+def _mask_to_set(mask: np.ndarray) -> set[int]:
+    """The bundles marked in a boolean vector, as a set of bundle masks."""
+    return set(map(int, np.nonzero(mask)[0]))
 
-    Empty systems have no pairs; the sentinel math.inf is returned so that
-    downstream minimum-distance requirements hold vacuously. Otherwise the
-    Hamming ball around `system_a` grows by one radius per covering sweep
-    until it meets `system_b`.
 
-    >>> system_distance({0b001}, {0b011, 0b100})
-    1
-    >>> system_distance(set(), {1})
-    inf
-    """
-    ball, target = _bundle_vectors(system_a, system_b)
+def _vector_distance(ball: np.ndarray, target: np.ndarray):
+    """system_distance of two equal-length bundle vectors."""
     if not (ball.any() and target.any()):
         return math.inf
     radius = 0
@@ -91,21 +86,40 @@ def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
     return radius
 
 
-def _popcount_masks_ascending(r: int) -> Iterator[int]:
-    """All bit masks with exactly r bits set, in increasing numeric order.
+def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
+    """Minimum Hamming distance across all pairs, one from each system.
 
-    Numeric order on masks is colexicographic order on the item sets: the
-    mask whose highest differing bit is unset comes first.
+    Empty systems have no pairs; the sentinel math.inf is returned so that
+    downstream minimum-distance requirements hold vacuously. Otherwise the
+    Hamming ball around `system_a` grows by one radius per covering sweep
+    until it meets `system_b`.
+
+    >>> system_distance({0b001}, {0b011, 0b100})
+    1
+    >>> system_distance(set(), {1})
+    inf
     """
-    if r == 0:
-        yield 0
-        return
-    v = (1 << r) - 1
-    while True:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = (((ripple ^ v) >> 2) // low) | ripple
+    return _vector_distance(*_bundle_vectors(system_a, system_b))
+
+
+def _weight_order(m: int, *sizes: int) -> np.ndarray:
+    """All 2^m bundles ordered by item count, ties by value, after checking m
+    and every ball size: `center ^ order[:size]` is the canonical ball."""
+    if not 0 <= m <= model.MAX_ITEMS:
+        raise ValueError(f"item count must be in 0..{model.MAX_ITEMS}, got {m!r}")
+    for size in sizes:
+        if not 1 <= size <= (1 << m):
+            raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
+    counts = np.zeros(1 << m, dtype=np.int8)
+    for _, _, hi in model._covering_halves(counts):
+        hi += 1
+    return np.argsort(counts, kind="stable")
+
+
+def _ball_vector(order: np.ndarray, center: int, size: int) -> np.ndarray:
+    ball = np.zeros(order.size, dtype=bool)
+    ball[center ^ order[:size]] = True
+    return ball
 
 
 def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
@@ -134,23 +148,10 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     >>> sorted(a_hamming_ball(0, 5, 3))
     [0, 1, 2, 3, 4]
     """
-    if not 0 <= center < (1 << m):
+    order = _weight_order(m, size)
+    if not 0 <= center < order.size:
         raise ValueError(f"center {center!r} out of range for m={m}")
-    if not 1 <= size <= (1 << m):
-        raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
-    ball: set[int] = set()
-    inner = 0
-    radius = 0
-    for radius in range(m + 1):
-        level = binom(m, radius)
-        if inner + level >= size:
-            break
-        for diff in itertools.islice(_popcount_masks_ascending(radius), level):
-            ball.add(center ^ diff)
-        inner += level
-    for diff in itertools.islice(_popcount_masks_ascending(radius), size - inner):
-        ball.add(center ^ diff)
-    return ball
+    return _mask_to_set(_ball_vector(order, center, size))
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,7 @@ class HarperReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "d_original": self.d_original,
-            "d_balls": self.d_balls,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> HarperReport:
@@ -181,15 +176,16 @@ def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> H
     >>> verify_harper({0b111}, {0}, 3).ok
     True
     """
-    sa = {int(x) for x in system_a}
-    sb = {int(x) for x in system_b}
-    if not sa or not sb:
+    vector_a, vector_b = _bundle_vectors(system_a, system_b)
+    size_a, size_b = int(np.count_nonzero(vector_a)), int(np.count_nonzero(vector_b))
+    if not size_a or not size_b:
         raise ValueError("both set systems must be nonempty")
-    ball_a = a_hamming_ball((1 << m) - 1, len(sa), m)
-    ball_b = a_hamming_ball(0, len(sb), m)
-    d_original = system_distance(sa, sb)
-    d_balls = system_distance(ball_a, ball_b)
-    return HarperReport(len(sa), len(sb), int(d_original), int(d_balls), d_balls >= d_original)
+    order = _weight_order(m, size_a, size_b)
+    d_original = _vector_distance(vector_a, vector_b)
+    d_balls = _vector_distance(
+        _ball_vector(order, model.full_bundle(m), size_a), _ball_vector(order, 0, size_b)
+    )
+    return HarperReport(size_a, size_b, d_original, d_balls, d_balls >= d_original)
 
 
 # ---------------------------------------------------------------------------

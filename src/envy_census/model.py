@@ -179,10 +179,11 @@ class Valuation:
 
     `table[b]` is the value numerator of bundle `b`; the exact value is
     table[b] / denom. Tables are validated (normalized, monotone) at
-    construction and frozen afterwards, so they are safe to share across
-    threads and worker processes. `item_values` records the per-item values
-    when the valuation was built additively, which lets instance files
-    round-trip in the compact additive form.
+    construction, except the generators' tables, which are monotone by
+    construction, and frozen, so they are safe to share across threads and
+    worker processes. `item_values` records the per-item values when the
+    valuation was built additively, which lets instance files round-trip in
+    the compact additive form.
 
     `ef1_mask` and `efx_mask` are derived from the table: each costs one
     O(m * 2^m) sweep on first access and is then kept, read-only, for as long
@@ -209,6 +210,15 @@ class Valuation:
             raise ValueError(f"valuation is not monotone: {violation}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _trusted(cls, m: int, table: np.ndarray, denom: int, item_values=None) -> Valuation:
+        """Take over and freeze a fresh int64 table, normalized and monotone
+        by construction: no copy, no check."""
+        table.setflags(write=False)
+        v = object.__new__(cls)
+        v.__dict__.update(m=m, table=table, denom=denom, item_values=item_values)
+        return v
 
     def value(self, bundle: int) -> Fraction:
         """Exact value of `bundle`.
@@ -361,7 +371,7 @@ def make_additive(item_values: Sequence) -> Valuation:
     table = np.zeros(1 << m, dtype=np.int64)
     for (_, _, hi), num in zip(_covering_halves(table), numers):
         hi += num
-    return Valuation(m, table, denom, item_values=tuple(values))
+    return Valuation._trusted(m, table, denom, tuple(values))
 
 
 def random_monotone(m: int, seed: int) -> Valuation:
@@ -378,7 +388,7 @@ def random_monotone(m: int, seed: int) -> Valuation:
     for _, lo, hi in _covering_halves(table):
         np.maximum(hi, lo, out=hi)
     table[0] = 0
-    return Valuation(m, table, RANDOM_DENOM)
+    return Valuation._trusted(m, table, RANDOM_DENOM)
 
 
 def derive_seed(*parts: int) -> int:

@@ -109,6 +109,12 @@ def min_cross_distance(system_a, system_b):
     return min((a ^ b).bit_count() for a in system_a for b in system_b)
 
 
+def hamming_ball(center, size, m):
+    """The first `size` bundles x sorted by (|x ^ center|, x ^ center)."""
+    bundles = sorted(range(1 << m), key=lambda x: ((x ^ center).bit_count(), x ^ center))
+    return set(bundles[:size])
+
+
 def first_two_sided_efx(v):
     """Smallest bundle mask whose sides are both EFX, by a plain scan."""
     m = v.m

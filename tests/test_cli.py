@@ -3,11 +3,14 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from envy_census import load_instance
 from envy_census.cli import CSV_COLUMNS, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -300,16 +303,43 @@ def test_shadow_and_cascade_commands(capsys):
     assert exc.value.code == 1
 
 
-def test_harper_command(capsys):
+def test_harper_command(capsys, monkeypatch):
+    import envy_census.cli as cli_module
+
+    reports = []
+    real_verify = cli_module.combinatorics.verify_harper
+
+    def recording_verify(*args):
+        reports.append(real_verify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_module.combinatorics, "verify_harper", recording_verify)
     code, out, _ = run_cli(capsys, "harper", "--m", "3", "--trials", "50", "--seed", "2")
     assert code == 0
     report = json.loads(out)
     assert report["all_ok"] is True
     assert report["failures"] == []
     assert report["trials"] == 50
+    assert run_cli(capsys, "harper", "--m", "20", "--trials", "1", "--seed", "1")[0] == 0
+    assert len(reports) == 51
+    assert all(r.ok and r.d_original >= 1 for r in reports)
     with pytest.raises(SystemExit) as exc:
-        main(["harper", "--m", "13", "--trials", "1"])
+        main(["harper", "--m", "21", "--trials", "1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_matches_golden(capsys, jobs):
+    argv = ("verify", "--m-range", "2..10", "--trials", "5", "--seed", "7", "--jobs", jobs)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _strip_elapsed(out) == (DATA / "verify_m2-10_trials5_seed7.csv").read_text().splitlines()
+
+
+def test_count_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "count", str(DATA / "random_monotone_m4_seed1.json"))
+    assert code == 0
+    assert out == (DATA / "count_random_monotone_m4_seed1.json").read_text()
 
 
 def test_module_entrypoint_subprocess():

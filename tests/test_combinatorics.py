@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,7 @@ from envy_census import (
 from oracles import (
     all_cascades,
     feasible_sperner_profiles,
+    hamming_ball,
     is_antichain,
     min_cross_distance,
     small_value_table,
@@ -150,6 +152,62 @@ def test_a_hamming_ball_is_nested_between_exact_balls():
             inner = the_hamming_ball(center, radius - 1, m) if radius else set()
             outer = the_hamming_ball(center, radius, m)
             assert inner <= ball <= outer
+
+
+def _ball_size(m, r):
+    return sum(math.comb(m, t) for t in range(r + 1))
+
+
+def test_hamming_balls_match_oracle_exhaustively():
+    for m in range(7):
+        for center in range(1 << m):
+            for size in range(1, (1 << m) + 1):
+                assert a_hamming_ball(center, size, m) == hamming_ball(center, size, m)
+            for r in range(m + 1):
+                assert the_hamming_ball(center, r, m) == hamming_ball(center, _ball_size(m, r), m)
+
+
+def test_hamming_balls_match_oracle_on_samples():
+    rng = np.random.default_rng(23)
+    for m in range(8, 13):
+        for _ in range(6):
+            center = int(rng.integers(1 << m))
+            size = int(rng.integers(1, (1 << m) + 1))
+            r = int(rng.integers(m + 1))
+            assert a_hamming_ball(center, size, m) == hamming_ball(center, size, m)
+            assert the_hamming_ball(center, r, m) == hamming_ball(center, _ball_size(m, r), m)
+
+
+def test_verify_harper_matches_oracle_on_disjoint_draws():
+    rng = np.random.default_rng(29)
+    for m in range(2, 11):
+        for _ in range(4):
+            size_a, size_b = (round(2 ** rng.uniform(0, m - 1)) for _ in range(2))
+            bundles = rng.permutation(1 << m).tolist()
+            system_a, system_b = bundles[:size_a], bundles[size_a:size_a + size_b]
+            report = verify_harper(system_a, system_b, m)
+            ball_a = hamming_ball((1 << m) - 1, size_a, m)
+            ball_b = hamming_ball(0, size_b, m)
+            assert (report.size_a, report.size_b) == (size_a, size_b)
+            assert report.d_original == min_cross_distance(system_a, system_b) >= 1
+            assert report.d_balls == min_cross_distance(ball_a, ball_b)
+            assert report.ok
+
+
+@pytest.mark.parametrize("m", [-1, MAX_ITEMS + 1])
+def test_balls_reject_item_counts_before_allocating(m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="item count"):
+            a_hamming_ball(0, 1, m)
+        with pytest.raises(ValueError, match="item count"):
+            verify_harper({1}, {0}, m)
+        with pytest.raises(ValueError):
+            the_hamming_ball(0, 0, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verify_harper_examples():

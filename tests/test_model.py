@@ -165,6 +165,31 @@ def test_random_monotone_passes_checks():
         random_monotone(25, 1)
 
 
+def test_only_unchecked_tables_are_checked(monkeypatch):
+    import envy_census.model as model_module
+
+    calls = []
+    real_check = model_module.check_monotone
+    monkeypatch.setattr(
+        model_module, "check_monotone", lambda table: calls.append(len(table)) or real_check(table)
+    )
+    generated = [
+        *vars(random_instance(6, 1)).values(),
+        make_additive([1, "1/2", 0]),
+        *vars(tight_ef1_instance(5)).values(),
+        *vars(tight_efx_instance(4)).values(),
+    ]
+    assert calls == []
+    for v in generated:
+        assert real_check(v.table) is None
+        with pytest.raises(ValueError):
+            v.table[-1] = 0
+    load_instance(DATA / "random_monotone_m4_seed1.json")
+    assert calls == [16, 16]
+    Valuation(2, [0, 1, 1, 2])
+    assert calls == [16, 16, 4]
+
+
 @given(st.integers(1, 6), st.integers(0, 2**63 - 1))
 @settings(max_examples=30, deadline=None)
 def test_random_monotone_property(m, seed):
