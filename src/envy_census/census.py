@@ -10,11 +10,14 @@ read-only, as long as the valuation does. Reversing a mask indexes it by
 complements, so counting allocations is a vectorized AND. Memory is O(2^m),
 which keeps m = 20+ tables practical. Results are exact and independent of
 traversal order.
+
+Every class count, list and check reads the bundle classes from
+`_bundle_classes`, and both constructions pair proposals in `_pairings`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,6 +78,14 @@ class SetSystems(NamedTuple):
     good: set[int]
 
 
+def _bundle_classes(v: Valuation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(too_small, too_large, good): the three bundle classes of `v` as
+    boolean vectors over all 2^m bundles, read off its EF1 mask."""
+    ef1 = v.ef1_mask
+    good = ef1 & ef1[::-1]
+    return ~ef1, ef1 ^ good, good
+
+
 def extract_set_systems(v: Valuation) -> SetSystems:
     """Partition all 2^m bundles into too-small / too-large / good classes.
 
@@ -82,13 +93,7 @@ def extract_set_systems(v: Valuation) -> SetSystems:
     >>> systems.too_small, systems.too_large, sorted(systems.good)
     ({0}, {3}, [1, 2])
     """
-    ef1 = v.ef1_mask
-    comp_ef1 = ef1[::-1]
-    return SetSystems(
-        _mask_to_set(~ef1),
-        _mask_to_set(ef1 & ~comp_ef1),
-        _mask_to_set(ef1 & comp_ef1),
-    )
+    return SetSystems(*map(_mask_to_set, _bundle_classes(v)))
 
 
 def verify_separation(v: Valuation) -> bool:
@@ -105,9 +110,7 @@ def verify_separation(v: Valuation) -> bool:
     across the classes therefore runs upward from a too-small bundle to a
     too-large one, and one sweep per item looks only in that direction.
     """
-    ef1 = v.ef1_mask
-    too_small = ~ef1
-    too_large = ef1 & ~ef1[::-1]
+    too_small, too_large, _ = _bundle_classes(v)
     for _, ts_lo, _, _, tl_hi in model._covering_halves(too_small, too_large):
         if bool(np.any(ts_lo & tl_hi)):
             return False
@@ -129,19 +132,30 @@ def list_ef1_partitions(v: Valuation) -> set[int]:
     >>> list_ef1_partitions(make_additive([1]))
     {0}
     """
-    ef1 = v.ef1_mask
-    both = ef1 & ef1[::-1]
-    return _mask_to_set(both[: 1 << (v.m - 1)])
+    good = _bundle_classes(v)[2]
+    return _mask_to_set(good[: good.size // 2])
 
 
-def _preferred_side(v: Valuation, a: int, b: int) -> int:
-    """The side of {a, b} that `v` weakly prefers; ties go to the smaller mask."""
-    va, vb = int(v.table[a]), int(v.table[b])
-    if va > vb:
-        return a
-    if vb > va:
-        return b
-    return min(a, b)
+def _preferred_side(v: Valuation, rep: int, full: int) -> int:
+    """The side of the partition {rep, full ^ rep} that `v` weakly prefers;
+    ties go to the representative `rep`, the smaller mask."""
+    return full ^ rep if v.table[full ^ rep] > v.table[rep] else rep
+
+
+def _pairings(inst: Instance, reps_1: set[int], reps_2: set[int]) -> Iterator[tuple[int, int]]:
+    """Allocations from the two agents' proposed partitions (canonical
+    representatives): a partition both propose in both orders, then each
+    other partition with the non-proposer on the side it weakly prefers."""
+    full = model.full_bundle(inst.m)
+    for rep in reps_1 & reps_2:
+        yield rep, full ^ rep
+        yield full ^ rep, rep
+    for rep in reps_1 - reps_2:
+        pick = _preferred_side(inst.v2, rep, full)
+        yield full ^ pick, pick
+    for rep in reps_2 - reps_1:
+        pick = _preferred_side(inst.v1, rep, full)
+        yield pick, full ^ pick
 
 
 def combine_ef1_partitions(
@@ -159,27 +173,16 @@ def combine_ef1_partitions(
     """
     p1 = {int(p) for p in partitions_1}
     p2 = {int(p) for p in partitions_2}
-    full = model.full_bundle(inst.m)
-    half = 1 << (inst.m - 1)
     for agent, (pset, v) in enumerate(((p1, inst.v1), (p2, inst.v2)), start=1):
+        good = _bundle_classes(v)[2]
         for rep in pset:
-            if not 0 <= rep < half:
+            if not 0 <= rep < good.size // 2:
                 raise ValueError(
                     f"{rep} is not a canonical partition representative for m={inst.m}"
                 )
-            if not (v.ef1_mask[rep] and v.ef1_mask[full ^ rep]):
+            if not good[rep]:
                 raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
-    allocations: set[tuple[int, int]] = set()
-    for rep in p1 & p2:
-        allocations.add((rep, full ^ rep))
-        allocations.add((full ^ rep, rep))
-    for rep in p1 - p2:
-        pick = _preferred_side(inst.v2, rep, full ^ rep)
-        allocations.add((full ^ pick, pick))
-    for rep in p2 - p1:
-        pick = _preferred_side(inst.v1, rep, full ^ rep)
-        allocations.add((pick, full ^ pick))
-    return allocations
+    return set(_pairings(inst, p1, p2))
 
 
 def efx_partition(v: Valuation) -> tuple[int, int]:
@@ -213,15 +216,7 @@ def cut_and_choose_efx(inst: Instance) -> tuple[tuple[int, int], tuple[int, int]
     >>> cut_and_choose_efx(tight_efx_instance(3))
     ((3, 4), (4, 3))
     """
-    part1 = efx_partition(inst.v1)
-    part2 = efx_partition(inst.v2)
-    full = model.full_bundle(inst.m)
-    if part1 == part2:
-        a, b = part1
-        return (a, b), (b, a)
-    pick2 = _preferred_side(inst.v2, *part1)
-    pick1 = _preferred_side(inst.v1, *part2)
-    return (full ^ pick2, pick2), (pick1, full ^ pick1)
+    return tuple(_pairings(inst, {efx_partition(inst.v1)[0]}, {efx_partition(inst.v2)[0]}))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +256,14 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     allocation counts appear in the report: "ef1", "efx", or "both"."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
-    masks = (inst.v1.ef1_mask, inst.v2.ef1_mask)
+    sizes = [[int(np.count_nonzero(c)) for c in _bundle_classes(v)] for v in (inst.v1, inst.v2)]
+    too_small_count, _, good_count = zip(*sizes)
     return CensusReport(
         m=inst.m,
         bound=f_ef1(inst.m),
         ef1_count=count_ef1_allocations(inst) if fairness_kind in ("ef1", "both") else None,
         efx_count=count_efx_allocations(inst) if fairness_kind in ("efx", "both") else None,
-        good_count=tuple(int(np.count_nonzero(mask & mask[::-1])) for mask in masks),
-        too_small_count=tuple(mask.size - int(np.count_nonzero(mask)) for mask in masks),
+        good_count=good_count,
+        too_small_count=too_small_count,
         separation_ok=verify_separation(inst.v1) and verify_separation(inst.v2),
     )

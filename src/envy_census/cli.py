@@ -141,18 +141,14 @@ def _cmd_count(args) -> int:
         print(f"count: invalid instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.list is not None:
-        v = inst.v1 if args.agent == 1 else inst.v2
-        if args.list == "ef1-partitions":
-            bundles = census.list_ef1_partitions(v)
-        else:
-            systems = census.extract_set_systems(v)
-            bundles = {
-                "good": systems.good,
-                "too-small": systems.too_small,
-                "too-large": systems.too_large,
-            }[args.list]
-        for b in sorted(bundles):
-            print(b)
+        too_small, too_large, good = census._bundle_classes(inst.v1 if args.agent == 1 else inst.v2)
+        chosen = {
+            "good": good,
+            "too-small": too_small,
+            "too-large": too_large,
+            "ef1-partitions": good[: good.size // 2],
+        }[args.list]
+        sys.stdout.writelines(f"{b}\n" for b in np.flatnonzero(chosen).tolist())
         return EXIT_OK
     report = census.census_report(inst, args.fairness)
     print(json.dumps(report.to_json_dict(), indent=2))

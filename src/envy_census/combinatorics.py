@@ -7,9 +7,9 @@ Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
 bundles, for the least m that holds every member, and walk the same
 covering-pair sweep as the census masks: O(m * 2^m) per sweep, never a scan
-over pairs of members. A Hamming ball is a prefix of one order of the 2^m
-bundles by (item count, value), XOR-ed with its center; sets are built only
-at the public boundary. Binomial, cascade and shadow arithmetic is exact
+over pairs of members. A Hamming ball is a prefix of the simplicial order
+of the 2^m bundles, XOR-ed with its center; sets are built only at the
+public boundary. Binomial, cascade and shadow arithmetic is exact
 Python integers; cascade and shadow results are memoized (pure functions,
 safe for concurrent readers).
 """
@@ -103,17 +103,21 @@ def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
 
 
 def _weight_order(m: int, *sizes: int) -> np.ndarray:
-    """All 2^m bundles ordered by item count, ties by value, after checking m
-    and every ball size: `center ^ order[:size]` is the canonical ball."""
+    """All 2^m bundles in simplicial order, after checking m and every ball
+    size: by item count, and within a count x before y when the least item
+    of x ^ y is in x. That is the bundles y by (count, -y), mapped through
+    bit reversal. `center ^ order[:size]` is the canonical ball."""
     if not 0 <= m <= model.MAX_ITEMS:
         raise ValueError(f"item count must be in 0..{model.MAX_ITEMS}, got {m!r}")
     for size in sizes:
         if not 1 <= size <= (1 << m):
             raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
     counts = np.zeros(1 << m, dtype=np.int8)
-    for _, _, hi in model._covering_halves(counts):
-        hi += 1
-    return np.argsort(counts, kind="stable")
+    rev = np.zeros(1 << m, dtype=np.int32)
+    for bit, _, counts_hi, _, rev_hi in model._covering_halves(counts, rev):
+        counts_hi += 1
+        rev_hi += (1 << (m - 1)) // bit
+    return rev[::-1][np.argsort(counts[::-1], kind="stable")]
 
 
 def _ball_vector(order: np.ndarray, center: int, size: int) -> np.ndarray:
@@ -140,8 +144,8 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     consecutive exact-radius balls around `center`.
 
     All bundles strictly inside the minimal sufficient radius are included;
-    the boundary shell is filled with the numerically smallest symmetric
-    differences (colexicographic fill).
+    the boundary shell is filled in simplicial order (see `_weight_order`),
+    the fill for which Harper's vertex isoperimetric inequality holds.
 
     >>> a_hamming_ball(0b111, 1, 3)
     {7}

@@ -9,10 +9,9 @@ so all functions are safe to call concurrently.
 """
 from __future__ import annotations
 
-import operator
 from enum import Enum
 
-from .model import Instance, Valuation, complement, make_additive
+from .model import Instance, Valuation, _checked_bundle, complement, make_additive
 
 
 class BundleClass(Enum):
@@ -23,13 +22,6 @@ class BundleClass(Enum):
     GOOD = "good"
     TOO_SMALL = "too-small"
     TOO_LARGE = "too-large"
-
-
-def _checked_bundle(v: Valuation, bundle: int) -> int:
-    b = operator.index(bundle)
-    if not 0 <= b < (1 << v.m):
-        raise ValueError(f"invalid bundle {bundle!r} for m={v.m}")
-    return b
 
 
 def is_ef1_bundle(v: Valuation, bundle: int) -> bool:

@@ -220,6 +220,10 @@ class Valuation:
         v.__dict__.update(m=m, table=table, denom=denom, item_values=item_values)
         return v
 
+    def __reduce__(self):
+        # Unpickle through the constructor: checked, frozen, no stale masks.
+        return Valuation, (self.m, self.table, self.denom, self.item_values)
+
     def value(self, bundle: int) -> Fraction:
         """Exact value of `bundle`.
 
@@ -227,10 +231,7 @@ class Valuation:
         >>> print(v.value(0b011), v.value(0), v.value(0b111))
         2 0 5
         """
-        b = operator.index(bundle)
-        if not 0 <= b < (1 << self.m):
-            raise ValueError(f"invalid bundle {bundle!r} for m={self.m}")
-        return Fraction(int(self.table[b]), self.denom)
+        return Fraction(int(self.table[_checked_bundle(self, bundle)]), self.denom)
 
     @cached_property
     def ef1_mask(self) -> np.ndarray:
@@ -269,6 +270,13 @@ class Valuation:
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
+
+
+def _checked_bundle(v: Valuation, bundle: int) -> int:
+    b = operator.index(bundle)
+    if not 0 <= b < (1 << v.m):
+        raise ValueError(f"invalid bundle {bundle!r} for m={v.m}")
+    return b
 
 
 @dataclass(frozen=True, eq=False)

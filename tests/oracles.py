@@ -110,9 +110,15 @@ def min_cross_distance(system_a, system_b):
 
 
 def hamming_ball(center, size, m):
-    """The first `size` bundles x sorted by (|x ^ center|, x ^ center)."""
-    bundles = sorted(range(1 << m), key=lambda x: ((x ^ center).bit_count(), x ^ center))
-    return set(bundles[:size])
+    """The first `size` bundles x in simplicial order of d = x ^ center: by
+    |d|, then by d's item-indicator tuple, item 0 first, present before
+    absent (Frankl & Furedi 1981)."""
+
+    def key(x):
+        d = x ^ center
+        return d.bit_count(), tuple(0 if d >> i & 1 else 1 for i in range(m))
+
+    return set(sorted(range(1 << m), key=key)[:size])
 
 
 def first_two_sided_efx(v):

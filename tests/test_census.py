@@ -297,6 +297,22 @@ def test_census_report_fields():
     assert data["separation_ok"] is True
 
 
+def test_census_report_class_counts_on_tie_heavy_tables():
+    for m in range(1, 9):
+        for seed in range(3):
+            inst = Instance(
+                Valuation(m, small_value_table(m, seed)),
+                Valuation(m, small_value_table(m, 50 + seed)),
+            )
+            report = census_report(inst)
+            for agent, v in enumerate((inst.v1, inst.v2)):
+                systems = extract_set_systems(v)
+                too_small, _, good = classification_systems(v)
+                assert report.good_count[agent] == len(systems.good) == len(good)
+                assert report.too_small_count[agent] == len(systems.too_small) == len(too_small)
+                assert report.good_count[agent] + 2 * report.too_small_count[agent] == 1 << m
+
+
 def test_census_report_fairness_selection():
     inst = tight_ef1_instance(3)
     assert census_report(inst, "ef1").efx_count is None

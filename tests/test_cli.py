@@ -342,6 +342,17 @@ def test_count_matches_golden(capsys):
     assert out == (DATA / "count_random_monotone_m4_seed1.json").read_text()
 
 
+COUNT_LIST_GOLDEN = json.loads((DATA / "count_list_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_LIST_GOLDEN))
+def test_count_list_matches_golden(capsys, case):
+    name, *options = case.split()
+    code, out, _ = run_cli(capsys, "count", str(DATA / name), *options)
+    assert code == 0
+    assert out == COUNT_LIST_GOLDEN[case]
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "envy_census", "shadow", "--n", "4", "--k", "3"],

@@ -17,6 +17,7 @@ from envy_census import (
     bundle_of,
     cascade_decompose,
     extract_set_systems,
+    f_ef1,
     hamming_distance,
     is_sperner,
     make_additive,
@@ -25,6 +26,8 @@ from envy_census import (
     shadow_is_monotone,
     system_distance,
     the_hamming_ball,
+    tight_ef1_instance,
+    tight_efx_instance,
     verify_harper,
 )
 
@@ -238,6 +241,39 @@ def test_verify_harper_on_classification_systems():
         systems = extract_set_systems(v)
         if systems.too_small and systems.too_large:
             assert verify_harper(systems.too_small, systems.too_large, 5).ok
+
+
+@pytest.mark.parametrize("make", [tight_ef1_instance, tight_efx_instance])
+def test_verify_harper_holds_on_tight_systems(make):
+    # The paper's extremal too-small / too-large systems; random draws never
+    # reach them, and a colex shell fill fails here at every odd m >= 5.
+    for m in range(2, 17):
+        inst = make(m)
+        for v in (inst.v1, inst.v2):
+            systems = extract_set_systems(v)
+            for pair in ((systems.too_small, systems.too_large), (systems.too_large, systems.too_small)):
+                report = verify_harper(*pair, m)
+                assert report.d_original >= 2
+                assert report.ok, (m, report)
+
+
+def _s_max(m):
+    """Closed form for the largest s at which the size-s balls around the
+    full and the empty bundle stay at distance >= 2."""
+    k = m // 2
+    s = sum(math.comb(m, t) for t in range(k))
+    return s if m % 2 == 0 or not k else s + math.comb(m - 1, k - 1)
+
+
+def test_ball_search_matches_closed_form_s_max():
+    # Balls grow by nesting, so their distance never rises with s: s_max is
+    # the s that keeps distance >= 2 while s + 1 does not.
+    for m in range(1, 17):
+        s = _s_max(m)
+        if s:
+            assert verify_harper(range(s), range(s), m).d_balls >= 2
+        assert verify_harper(range(s + 1), range(s + 1), m).d_balls < 2
+        assert (1 << m) - 2 * s == f_ef1(m)
 
 
 # ---------------------------------------------------------------------------

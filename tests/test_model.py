@@ -1,4 +1,5 @@
 import json
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -142,6 +143,26 @@ def test_valuation_table_is_frozen():
     v = make_additive([1, 1])
     with pytest.raises(ValueError):
         v.table[1] = 7
+
+
+@pytest.mark.parametrize("v", [random_monotone(5, 3), make_additive([1, "1/2", 0])], ids=repr)
+def test_pickled_valuation_is_checked_frozen_and_without_masks(v):
+    masks = v.ef1_mask, v.efx_mask
+    data = pickle.dumps(v)
+    assert b"ef1_mask" not in data and b"efx_mask" not in data
+    copy = pickle.loads(data)
+    assert not copy.table.flags.writeable
+    with pytest.raises(ValueError):
+        copy.table[1] = 7
+    assert "ef1_mask" not in vars(copy) and "efx_mask" not in vars(copy)
+    assert (copy.m, copy.denom, copy.item_values) == (v.m, v.denom, v.item_values)
+    assert np.array_equal(copy.table, v.table)
+    assert all(np.array_equal(a, b) for a, b in zip((copy.ef1_mask, copy.efx_mask), masks))
+    rebuild, (m, table, *rest) = v.__reduce__()
+    table = table.copy()
+    table[-1] = -1
+    with pytest.raises(ValueError, match="not monotone"):
+        rebuild(m, table, *rest)
 
 
 def test_random_monotone_is_reproducible():
@@ -428,6 +449,7 @@ def test_check_monotone_agrees_across_value_types(m):
     [
         ("random_monotone_m4_seed1.json", ["random-monotone", "--m", "4", "--seed", "1"]),
         ("additive_m3.json", ["additive", "--m", "3", "--values", "1/3,1/4,5/6"]),
+        ("tight_ef1_m5.json", ["tight-ef1", "--m", "5"]),
     ],
 )
 def test_writer_reproduces_golden_files(tmp_path, name, argv):
