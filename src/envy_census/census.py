@@ -66,6 +66,22 @@ def f_ef1(m: int) -> int:
     return 2 * binom(m - 1, (m - 1) // 2)
 
 
+def s_max(m: int) -> int:
+    """Largest s for which the size-s Hamming balls (see `a_hamming_ball`)
+    around the full and the empty bundle stay at distance >= 2: the bound
+    Harper's inequality puts on a too-small class, which makes
+    2^m - 2*s_max(m) == f_ef1(m).
+
+    >>> s_max(4), s_max(5), s_max(1)
+    (5, 10, 0)
+    """
+    if m < 1:
+        raise ValueError(f"item count must be positive, got {m!r}")
+    k = m // 2
+    s = sum(binom(m, t) for t in range(k))
+    return s if m % 2 == 0 or not k else s + binom(m - 1, k - 1)
+
+
 # ---------------------------------------------------------------------------
 # bundle classification systems
 

@@ -233,14 +233,32 @@ def _cmd_cascade(args) -> int:
     return EXIT_OK
 
 
+def _harper_systems(m: int, trial_seed: int, extremal: bool) -> tuple:
+    """Two disjoint nonempty systems for one `harper` trial.
+
+    With `extremal`, the too-small and too-large systems of agent 1 of a
+    random instance: a down-set/up-set pair at distance >= 2, the kind of
+    pair on which the shell order of the replacing balls can decide the
+    check, and which random disjoint draws never produce. Otherwise, and
+    when those systems are empty, random disjoint systems of log-uniform
+    sizes in 1..2^(m-1).
+    """
+    if extremal:
+        too_small, too_large, _ = census._bundle_classes(model.random_instance(m, trial_seed).v1)
+        if too_small.any():  # too_large holds the complements, so it is nonempty too
+            return np.flatnonzero(too_small), np.flatnonzero(too_large)
+    rng = np.random.default_rng(trial_seed)
+    size_a, size_b = (round(2 ** rng.uniform(0, m - 1)) for _ in range(2))
+    system_a, system_b, _ = np.split(rng.permutation(1 << m), [size_a, size_a + size_b])
+    return system_a, system_b
+
+
 def _cmd_harper(args) -> int:
     failures = []
     for trial in range(args.trials):
-        # Disjoint systems (so d_original >= 1) of log-uniform sizes in 1..2^(m-1).
-        rng = np.random.default_rng(model.derive_seed(args.seed, args.m, trial))
-        size_a, size_b = (round(2 ** rng.uniform(0, args.m - 1)) for _ in range(2))
-        system_a, system_b, _ = np.split(rng.permutation(1 << args.m), [size_a, size_a + size_b])
-        report = combinatorics.verify_harper(system_a, system_b, args.m)
+        trial_seed = model.derive_seed(args.seed, args.m, trial)
+        systems = _harper_systems(args.m, trial_seed, extremal=trial % 2 == 1)
+        report = combinatorics.verify_harper(*systems, args.m)
         if not report.ok:
             failures.append({"trial": trial, **report.to_json_dict()})
     summary = {"m": args.m, "trials": args.trials, "seed": args.seed}
@@ -298,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_cascade)
 
-    p = sub.add_parser("harper", help="ball-replacement distance check on random system pairs")
+    p = sub.add_parser(
+        "harper", help="ball-replacement distance check on random and too-small/too-large system pairs"
+    )
     p.add_argument("--m", type=_bounded_int(1, 20), required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)

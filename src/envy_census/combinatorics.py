@@ -102,16 +102,20 @@ def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
     return _vector_distance(*_bundle_vectors(system_a, system_b))
 
 
-def _weight_order(m: int, *sizes: int) -> np.ndarray:
-    """All 2^m bundles in simplicial order, after checking m and every ball
-    size: by item count, and within a count x before y when the least item
-    of x ^ y is in x. That is the bundles y by (count, -y), mapped through
-    bit reversal. `center ^ order[:size]` is the canonical ball."""
+def _check_ball_args(m: int, *sizes: int) -> None:
+    """Check m and every ball size, before anything of length 2^m is built."""
     if not 0 <= m <= model.MAX_ITEMS:
         raise ValueError(f"item count must be in 0..{model.MAX_ITEMS}, got {m!r}")
     for size in sizes:
         if not 1 <= size <= (1 << m):
             raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
+
+
+def _weight_order(m: int) -> np.ndarray:
+    """All 2^m bundles in simplicial order: by item count, and within a
+    count x before y when the least item of x ^ y is in x. That is the
+    bundles y by (count, -y), mapped through bit reversal.
+    `center ^ order[:size]` is the canonical ball."""
     counts = np.zeros(1 << m, dtype=np.int8)
     rev = np.zeros(1 << m, dtype=np.int32)
     for bit, _, counts_hi, _, rev_hi in model._covering_halves(counts, rev):
@@ -152,10 +156,10 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     >>> sorted(a_hamming_ball(0, 5, 3))
     [0, 1, 2, 3, 4]
     """
-    order = _weight_order(m, size)
-    if not 0 <= center < order.size:
+    _check_ball_args(m, size)
+    if not 0 <= center < 1 << m:
         raise ValueError(f"center {center!r} out of range for m={m}")
-    return _mask_to_set(_ball_vector(order, center, size))
+    return _mask_to_set(_ball_vector(_weight_order(m), center, size))
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,8 @@ def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> H
     size_a, size_b = int(np.count_nonzero(vector_a)), int(np.count_nonzero(vector_b))
     if not size_a or not size_b:
         raise ValueError("both set systems must be nonempty")
-    order = _weight_order(m, size_a, size_b)
+    _check_ball_args(m, size_a, size_b)
+    order = _weight_order(m)
     d_original = _vector_distance(vector_a, vector_b)
     d_balls = _vector_distance(
         _ball_vector(order, model.full_bundle(m), size_a), _ball_vector(order, 0, size_b)

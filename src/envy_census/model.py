@@ -317,18 +317,20 @@ def as_fraction(x) -> Fraction:
         ...
     ValueError: cannot interpret 'inf' as a finite number
     """
-    if isinstance(x, Fraction):
+    if isinstance(x, str):
+        # Strings come first, as files hold mostly strings; only one with an
+        # "e" can carry an exponent, and the substring test is cheaper.
+        exponent = ("e" in x or "E" in x) and _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    elif isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
+    elif isinstance(x, bool):
         raise TypeError("boolean is not a valuation value")
-    if isinstance(x, np.integer):
+    elif isinstance(x, np.integer):
         x = int(x)
     elif isinstance(x, np.floating):
         x = float(x)
-    elif isinstance(x, str):
-        exponent = _EXPONENT.search(x)
-        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
     elif not isinstance(x, (int, float)):
         raise TypeError(f"cannot interpret {x!r} as an exact number")
     try:
@@ -454,7 +456,9 @@ def tight_efx_instance(m: int) -> Instance:
 # Entries are JSON numbers or exact-number strings ("2/3", "0.25"); the
 # writer emits non-integer values as reduced "p/q" strings so files
 # round-trip exactly. Bundles everywhere in I/O are integers in [0, 2^m),
-# item 0 being the least-significant bit.
+# item 0 being the least-significant bit. A monotone table repeats its values
+# heavily, so reading and writing a table cost one parse or encode per
+# distinct value, plus one gather over the 2^m entries.
 
 
 def _encode_number(num: int, den: int):
@@ -467,7 +471,9 @@ def _agent_to_dict(v: Valuation) -> dict:
     if v.item_values is not None:
         values = [_encode_number(x.numerator, x.denominator) for x in v.item_values]
         return {"kind": "additive", "values": values}
-    return {"kind": "table", "values": [_encode_number(n, v.denom) for n in v.table.tolist()]}
+    distinct, index = np.unique(v.table, return_inverse=True)
+    encoded = np.array([_encode_number(n, v.denom) for n in distinct.tolist()], dtype=object)
+    return {"kind": "table", "values": encoded[index].tolist()}
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -484,6 +490,29 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(dumps_instance(inst), encoding="utf-8")
 
 
+def _parse_table(raw: list) -> tuple[np.ndarray, int]:
+    """Exact int64 fixed point of a table's entries: (numerators, denom).
+
+    A str or int entry is parsed at its first occurrence only; any other
+    entry (a parsed float, or a bad one) is parsed where it stands and then
+    keyed by its value. So the first bad entry raises, as in a parse of
+    every entry in order.
+    """
+    codes: dict = {}  # token -> index into `distinct`
+    distinct: list[Fraction] = []
+    index = []
+    for x in raw:
+        if type(x) is not str and type(x) is not int:  # never bool: True == 1
+            x = as_fraction(x)
+        code = codes.get(x)
+        if code is None:
+            code = codes[x] = len(distinct)
+            distinct.append(as_fraction(x))
+        index.append(code)
+    numers, denom = _fixed_point(distinct)
+    return np.array(numers, dtype=np.int64)[index], denom
+
+
 def _agent_from_dict(data, m: int, which: int) -> Valuation:
     try:
         kind = data["kind"]
@@ -492,20 +521,18 @@ def _agent_from_dict(data, m: int, which: int) -> Valuation:
         raise InstanceFormatError(f"agent {which}: missing {exc}") from exc
     if not isinstance(raw, list):
         raise InstanceFormatError(f"agent {which}: values must be a list")
+    if kind == "additive" and len(raw) != m:
+        raise InstanceFormatError(f"agent {which}: additive needs {m} values, got {len(raw)}")
+    if kind == "table" and len(raw) != 1 << m:
+        raise InstanceFormatError(f"agent {which}: table needs 2^{m} values, got {len(raw)}")
+    if kind not in ("additive", "table"):
+        raise InstanceFormatError(f"agent {which}: unknown kind {kind!r}")
     try:
-        values = [as_fraction(x) for x in raw]
-        if kind == "additive" and len(values) == m:
-            return make_additive(values)
-        if kind == "table" and len(values) == 1 << m:
-            numers, denom = _fixed_point(values)
-            return Valuation(m, numers, denom)
+        if kind == "additive":
+            return make_additive(raw)
+        return Valuation(m, *_parse_table(raw))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"agent {which}: {exc}") from exc
-    if kind == "additive":
-        raise InstanceFormatError(f"agent {which}: additive needs {m} values, got {len(raw)}")
-    if kind == "table":
-        raise InstanceFormatError(f"agent {which}: table needs 2^{m} values, got {len(raw)}")
-    raise InstanceFormatError(f"agent {which}: unknown kind {kind!r}")
 
 
 def instance_from_dict(data) -> Instance:

@@ -11,6 +11,8 @@ from math import comb, inf
 
 import numpy as np
 
+from envy_census.model import _fixed_point, as_fraction
+
 
 def bundle_items(bits, m):
     return frozenset(i for i in range(m) if bits >> i & 1)
@@ -29,6 +31,14 @@ def small_value_table(m, seed, monotone=True):
                 if bits >> j & 1:
                     table[bits] = max(table[bits], table[bits ^ (1 << j)])
     return table
+
+
+def per_value_table(raw):
+    """(int64 numerators, denominator) of a table's entries, each parsed on
+    its own, in order: the per-entry codec that the library's
+    one-parse-per-distinct-value reader must match."""
+    numers, denom = _fixed_point([as_fraction(x) for x in raw])
+    return np.array(numers, dtype=np.int64), denom
 
 
 def valuation_map(v):

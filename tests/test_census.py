@@ -26,6 +26,7 @@ from envy_census import (
     make_additive,
     random_instance,
     random_monotone,
+    s_max,
     tight_ef1_instance,
     tight_efx_instance,
     verify_separation,
@@ -107,6 +108,13 @@ def test_f_ef1_values():
     assert [f_ef1(m) for m in range(1, 9)] == [2, 2, 4, 6, 12, 20, 40, 70]
     with pytest.raises(ValueError):
         f_ef1(0)
+
+
+def test_s_max_leaves_exactly_f_ef1_bundles():
+    for m in range(1, 25):
+        assert (1 << m) - 2 * s_max(m) == f_ef1(m)
+    with pytest.raises(ValueError):
+        s_max(0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from envy_census import load_instance
@@ -326,6 +327,27 @@ def test_harper_command(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["harper", "--m", "21", "--trials", "1"])
     assert exc.value.code == 1
+
+
+def test_harper_command_catches_the_colex_shell_fill(capsys, monkeypatch):
+    """Odd trials check a random instance's too-small/too-large pair, which
+    can need the simplicial shell fill; random disjoint draws never do. At
+    m=5 such a pair turns up about once in 100 odd trials; seed 5 meets one
+    at trial 33."""
+    import envy_census.cli as cli_module
+
+    argv = ("harper", "--m", "5", "--trials", "40", "--seed", "5")
+    assert run_cli(capsys, *argv)[0] == 0
+
+    def colex_order(m):
+        counts = np.array([b.bit_count() for b in range(1 << m)])
+        return np.argsort(counts, kind="stable")
+
+    monkeypatch.setattr(cli_module.combinatorics, "_weight_order", colex_order)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    failures = json.loads(out)["failures"]
+    assert failures and all(f["trial"] % 2 == 1 and f["d_original"] >= 2 for f in failures)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -17,11 +17,11 @@ from envy_census import (
     bundle_of,
     cascade_decompose,
     extract_set_systems,
-    f_ef1,
     hamming_distance,
     is_sperner,
     make_additive,
     random_monotone,
+    s_max,
     shadow,
     shadow_is_monotone,
     system_distance,
@@ -213,6 +213,17 @@ def test_balls_reject_item_counts_before_allocating(m):
     assert peak < 1 << 20
 
 
+def test_a_hamming_ball_rejects_center_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="center"):
+            a_hamming_ball(1 << 24, 1, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_verify_harper_examples():
     report = verify_harper({0b111}, {0}, 3)
     assert report.ok and report.d_original == 3 and report.d_balls == 3
@@ -257,23 +268,14 @@ def test_verify_harper_holds_on_tight_systems(make):
                 assert report.ok, (m, report)
 
 
-def _s_max(m):
-    """Closed form for the largest s at which the size-s balls around the
-    full and the empty bundle stay at distance >= 2."""
-    k = m // 2
-    s = sum(math.comb(m, t) for t in range(k))
-    return s if m % 2 == 0 or not k else s + math.comb(m - 1, k - 1)
-
-
 def test_ball_search_matches_closed_form_s_max():
     # Balls grow by nesting, so their distance never rises with s: s_max is
     # the s that keeps distance >= 2 while s + 1 does not.
     for m in range(1, 17):
-        s = _s_max(m)
+        s = s_max(m)
         if s:
             assert verify_harper(range(s), range(s), m).d_balls >= 2
         assert verify_harper(range(s + 1), range(s + 1), m).d_balls < 2
-        assert (1 << m) - 2 * s == f_ef1(m)
 
 
 # ---------------------------------------------------------------------------

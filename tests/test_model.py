@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -32,9 +33,10 @@ from envy_census import (
     tight_efx_instance,
 )
 
-from envy_census.model import _fixed_point
+from envy_census import model
+from envy_census.model import _encode_number, _fixed_point, _parse_table
 
-from oracles import additive_map, bundle_items, small_value_table
+from oracles import additive_map, bundle_items, per_value_table, small_value_table
 
 DATA = Path(__file__).parent / "data"
 INT64_MAX = 2**63 - 1
@@ -442,6 +444,103 @@ def test_check_monotone_agrees_across_value_types(m):
             assert (got.subset, got.superset) == (expected.subset, expected.superset)
             assert got.subset_value == same[got.subset] == int(expected.subset_value) * scale
             assert got.superset_value == same[got.superset]
+
+
+MIXED_TOKENS = [0, "0", 1, "1", "2/4", 0.5, Fraction("0.5"), "1e-3", "0.001", "1/3",
+                -1, "-1", "-3/4", "-2.5e-1", 7, "14/2", 2**40, f"{2**40}/4"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_table_matches_per_value_reference(seed):
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 16, 512):
+        raw = [MIXED_TOKENS[i] for i in rng.integers(len(MIXED_TOKENS), size=size)]
+        table, denom = _parse_table(raw)
+        expected_table, expected_denom = per_value_table(raw)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, expected_table)
+        assert denom == expected_denom
+
+
+def test_parse_table_raises_as_the_per_value_reference():
+    for raw in ([1, "1/3", 2**62, "1/3"], ["1", True, "abc"], ["1", "abc", True], [1, 1, None]):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            per_value_table(raw)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            _parse_table(raw)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("true", "boolean is not a valuation value"),
+        ("null", "cannot interpret None as an exact number"),
+        ("[1]", "cannot interpret [1] as an exact number"),
+        ('"abc"', "cannot interpret 'abc' as a finite number"),
+    ],
+)
+def test_bad_table_token_after_repeated_good_one(tmp_path, capsys, token, message):
+    from envy_census.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"m": 2, "agents": [{"kind": "table", "values": [0, 1, 1, %s]}, '
+        '{"kind": "table", "values": [0, "1", "1", "abc"]}]}' % token
+    )
+    assert main(["count", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"count: invalid instance: agent 1: {message}\n"
+
+
+def test_reader_parses_each_distinct_token_once(monkeypatch):
+    calls = []
+    real = model.as_fraction
+    monkeypatch.setattr(model, "as_fraction", lambda x: calls.append(x) or real(x))
+    agents = []
+    for seed in (3, 4):
+        table = small_value_table(5, seed)
+        spellings = [[k, str(k), f"{2 * k}/2"] for k in range(4)]
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(3, size=table.size)
+        agents.append([spellings[k][i] for k, i in zip(table.tolist(), picks)])
+    data = {"m": 5, "agents": [{"kind": "table", "values": raw} for raw in agents]}
+    inst = instance_from_dict(data)
+    distinct = [dict.fromkeys((type(x), x) for x in raw) for raw in agents]
+    assert len(calls) == sum(map(len, distinct)) < sum(map(len, agents)) // 2
+    assert [(type(x), x) for x in calls] == [key for keys in distinct for key in keys]
+    for v, raw in zip((inst.v1, inst.v2), agents):
+        assert _exact_values(v) == [as_fraction(x) for x in raw]
+
+
+def test_table_lists_of_the_wrong_length_are_rejected_before_parsing():
+    for kind, values, message in (
+        ("table", [0, "abc", 1], "table needs 2^2 values, got 3"),
+        ("additive", [1, True, "abc"], "additive needs 2 values, got 3"),
+        ("weird", [True], "unknown kind 'weird'"),
+    ):
+        data = {"m": 2, "agents": [{"kind": kind, "values": values},
+                                   {"kind": "additive", "values": [1, 1]}]}
+        with pytest.raises(InstanceFormatError, match=f"^agent 1: {re.escape(message)}$"):
+            instance_from_dict(data)
+
+
+def test_load_dump_load_is_exact_on_an_all_distinct_table():
+    m = 12
+    rng = np.random.default_rng(12)
+    # b < b' whenever b is a proper subset of b', so this table is monotone,
+    # and its entries are all distinct.
+    numers = np.arange(1 << m) * 1000 + rng.integers(1000, size=1 << m)
+    numers[0] = 0
+    first = Instance(Valuation(m, numers, 999_983), random_monotone(m, 5))
+    encoded = instance_to_dict(first)["agents"][0]["values"]
+    assert encoded == [_encode_number(n, 999_983) for n in numers.tolist()]
+    assert len(set(encoded)) == 1 << m
+    second = _reload(first)
+    for a, b in ((first.v1, second.v1), (first.v2, second.v2)):
+        assert a.denom == b.denom
+        assert np.array_equal(a.table, b.table)
+    assert dumps_instance(second) == dumps_instance(first)
 
 
 @pytest.mark.parametrize(
