@@ -126,11 +126,16 @@ def verify_separation(v: Valuation) -> bool:
     across the classes therefore runs upward from a too-small bundle to a
     too-large one, and one sweep per item looks only in that direction.
     """
-    too_small, too_large, _ = _bundle_classes(v)
-    for _, ts_lo, _, _, tl_hi in model._covering_halves(too_small, too_large):
-        if bool(np.any(ts_lo & tl_hi)):
-            return False
-    return True
+    return _class_census(v)[2]
+
+
+def _class_census(v: Valuation) -> tuple[int, int, bool]:
+    """(too-small count, good count, verify_separation) of `v`, from one build
+    of its classes."""
+    too_small, too_large, good = _bundle_classes(v)
+    halves = model._covering_halves(too_small, too_large)
+    separated = not any(np.any(ts_lo & tl_hi) for _, ts_lo, _, _, tl_hi in halves)
+    return int(np.count_nonzero(too_small)), int(np.count_nonzero(good)), separated
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +277,7 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     allocation counts appear in the report: "ef1", "efx", or "both"."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
-    sizes = [[int(np.count_nonzero(c)) for c in _bundle_classes(v)] for v in (inst.v1, inst.v2)]
-    too_small_count, _, good_count = zip(*sizes)
+    too_small_count, good_count, separated = zip(*map(_class_census, (inst.v1, inst.v2)))
     return CensusReport(
         m=inst.m,
         bound=f_ef1(inst.m),
@@ -281,5 +285,5 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
         efx_count=count_efx_allocations(inst) if fairness_kind in ("efx", "both") else None,
         good_count=good_count,
         too_small_count=too_small_count,
-        separation_ok=verify_separation(inst.v1) and verify_separation(inst.v2),
+        separation_ok=all(separated),
     )

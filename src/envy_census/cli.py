@@ -233,18 +233,20 @@ def _cmd_cascade(args) -> int:
     return EXIT_OK
 
 
-def _harper_systems(m: int, trial_seed: int, extremal: bool) -> tuple:
+def _harper_systems(m: int, trial: int, trial_seed: int) -> tuple:
     """Two disjoint nonempty systems for one `harper` trial.
 
-    With `extremal`, the too-small and too-large systems of agent 1 of a
-    random instance: a down-set/up-set pair at distance >= 2, the kind of
-    pair on which the shell order of the replacing balls can decide the
-    check, and which random disjoint draws never produce. Otherwise, and
-    when those systems are empty, random disjoint systems of log-uniform
+    Odd trials take agent 1's too-small and too-large systems, a
+    down-set/up-set pair at distance >= 2 that random disjoint draws never
+    produce and on which the shell order of the replacing balls can decide
+    the check: trial 1 those of tight_ef1_instance(m), the extremal pair of
+    size s_max(m), later odd trials those of random instances. Otherwise,
+    and when those systems are empty, random disjoint systems of log-uniform
     sizes in 1..2^(m-1).
     """
-    if extremal:
-        too_small, too_large, _ = census._bundle_classes(model.random_instance(m, trial_seed).v1)
+    if trial % 2:
+        inst = model.tight_ef1_instance(m) if trial == 1 else model.random_instance(m, trial_seed)
+        too_small, too_large, _ = census._bundle_classes(inst.v1)
         if too_small.any():  # too_large holds the complements, so it is nonempty too
             return np.flatnonzero(too_small), np.flatnonzero(too_large)
     rng = np.random.default_rng(trial_seed)
@@ -257,7 +259,7 @@ def _cmd_harper(args) -> int:
     failures = []
     for trial in range(args.trials):
         trial_seed = model.derive_seed(args.seed, args.m, trial)
-        systems = _harper_systems(args.m, trial_seed, extremal=trial % 2 == 1)
+        systems = _harper_systems(args.m, trial, trial_seed)
         report = combinatorics.verify_harper(*systems, args.m)
         if not report.ok:
             failures.append({"trial": trial, **report.to_json_dict()})

@@ -7,11 +7,11 @@ Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
 bundles, for the least m that holds every member, and walk the same
 covering-pair sweep as the census masks: O(m * 2^m) per sweep, never a scan
-over pairs of members. A Hamming ball is a prefix of the simplicial order
-of the 2^m bundles, XOR-ed with its center; sets are built only at the
-public boundary. Binomial, cascade and shadow arithmetic is exact
-Python integers; cascade and shadow results are memoized (pure functions,
-safe for concurrent readers).
+over pairs of members. A Hamming ball is an initial segment of the
+simplicial order, cut from one additive key without a sort, XOR-ed with its
+center; sets are built only at the public boundary. Binomial, cascade and
+shadow arithmetic is exact Python integers; cascade and shadow results are
+memoized (pure functions, safe for concurrent readers).
 """
 from __future__ import annotations
 
@@ -104,30 +104,25 @@ def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
 
 def _check_ball_args(m: int, *sizes: int) -> None:
     """Check m and every ball size, before anything of length 2^m is built."""
-    if not 0 <= m <= model.MAX_ITEMS:
-        raise ValueError(f"item count must be in 0..{model.MAX_ITEMS}, got {m!r}")
+    model._check_item_count(m, lo=0)
     for size in sizes:
         if not 1 <= size <= (1 << m):
             raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
 
 
-def _weight_order(m: int) -> np.ndarray:
-    """All 2^m bundles in simplicial order: by item count, and within a
-    count x before y when the least item of x ^ y is in x. That is the
-    bundles y by (count, -y), mapped through bit reversal.
-    `center ^ order[:size]` is the canonical ball."""
-    counts = np.zeros(1 << m, dtype=np.int8)
-    rev = np.zeros(1 << m, dtype=np.int32)
-    for bit, _, counts_hi, _, rev_hi in model._covering_halves(counts, rev):
-        counts_hi += 1
-        rev_hi += (1 << (m - 1)) // bit
-    return rev[::-1][np.argsort(counts[::-1], kind="stable")]
+def _simplicial_key(m: int) -> np.ndarray:
+    """Per-bundle int32 key count(b) * 2^m + 2^m - 1 - bitrev(b) (< 2^31 for
+    m <= 24), rising in simplicial order: by item count, and within a count
+    x before y when the least item of x ^ y is in x."""
+    key = np.full(1 << m, (1 << m) - 1, dtype=np.int32)
+    for bit, _, key_hi in model._covering_halves(key):
+        key_hi += (1 << m) - (1 << (m - 1)) // bit
+    return key
 
 
-def _ball_vector(order: np.ndarray, center: int, size: int) -> np.ndarray:
-    ball = np.zeros(order.size, dtype=bool)
-    ball[center ^ order[:size]] = True
-    return ball
+def _segment(key: np.ndarray, size: int) -> np.ndarray:
+    """Boolean vector of the `size` bundles of least (distinct) key."""
+    return key <= np.partition(key, size - 1)[size - 1]
 
 
 def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
@@ -148,7 +143,7 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     consecutive exact-radius balls around `center`.
 
     All bundles strictly inside the minimal sufficient radius are included;
-    the boundary shell is filled in simplicial order (see `_weight_order`),
+    the boundary shell is filled in simplicial order (see `_simplicial_key`),
     the fill for which Harper's vertex isoperimetric inequality holds.
 
     >>> a_hamming_ball(0b111, 1, 3)
@@ -159,7 +154,7 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     _check_ball_args(m, size)
     if not 0 <= center < 1 << m:
         raise ValueError(f"center {center!r} out of range for m={m}")
-    return _mask_to_set(_ball_vector(_weight_order(m), center, size))
+    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), size)) ^ center))
 
 
 @dataclass(frozen=True)
@@ -189,11 +184,10 @@ def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> H
     if not size_a or not size_b:
         raise ValueError("both set systems must be nonempty")
     _check_ball_args(m, size_a, size_b)
-    order = _weight_order(m)
+    key = _simplicial_key(m)
     d_original = _vector_distance(vector_a, vector_b)
-    d_balls = _vector_distance(
-        _ball_vector(order, model.full_bundle(m), size_a), _ball_vector(order, 0, size_b)
-    )
+    # Complementing reverses bundle indices: [::-1] centers a ball at the full set.
+    d_balls = _vector_distance(_segment(key, size_a)[::-1], _segment(key, size_b))
     return HarperReport(size_a, size_b, d_original, d_balls, d_balls >= d_original)
 
 
@@ -229,15 +223,15 @@ class Cascade:
 
 
 def _largest_binom_at_most(limit: int, k: int) -> tuple[int, int]:
-    """Largest a with C(a, k) <= limit, and that binomial; needs limit >= 1."""
-    if k == 1:
-        return limit, limit
-    a, c = k, 1
-    while True:
-        nxt = c * (a + 1) // (a + 1 - k)
-        if nxt > limit:
-            return a, c
-        a, c = a + 1, nxt
+    """Largest a with C(a, k) <= limit, and that binomial; needs limit >= 1.
+    Gallops up from a = k in doubling steps, then bisects: O(log a) binomials."""
+    lo, hi = k, k + 1  # C(lo, k) <= limit throughout; C(hi, k) > limit at the end
+    while binom(hi, k) <= limit:
+        lo, hi = hi, 2 * hi - k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if binom(mid, k) <= limit else (lo, mid)
+    return lo, binom(lo, k)
 
 
 @functools.lru_cache(maxsize=None)

@@ -45,6 +45,12 @@ class InstanceFormatError(ValueError):
 # bundles
 
 
+def _check_item_count(m, lo: int = 1) -> None:
+    """Raise ValueError unless m is an int, not a bool, in lo..MAX_ITEMS."""
+    if isinstance(m, bool) or not isinstance(m, int) or not lo <= m <= MAX_ITEMS:
+        raise ValueError(f"item count must be in {lo}..{MAX_ITEMS}, got {m!r}")
+
+
 def full_bundle(m: int) -> int:
     """The bundle containing all m items.
 
@@ -196,8 +202,7 @@ class Valuation:
     item_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or not 1 <= self.m <= MAX_ITEMS:
-            raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {self.m!r}")
+        _check_item_count(self.m)
         if not isinstance(self.denom, int) or self.denom < 1:
             raise ValueError(f"denominator must be a positive integer, got {self.denom!r}")
         table = np.array(self.table, dtype=np.int64, copy=True)
@@ -239,17 +244,10 @@ class Valuation:
         EF1 for this valuation.
 
         A bundle is EF1 exactly when its value reaches min(complement's
-        value, complement's cheapest single-item removal); one sweep
-        computes that threshold for every bundle at once.
+        value, complement's cheapest single-item removal). In a monotone table
+        that is the cheapest removal, or 0 for the empty complement.
         """
-        t = self.table
-        thresh = np.full(t.shape, _INT64_MAX, dtype=np.int64)
-        for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
-            np.minimum(th_hi, t_lo, out=th_hi)
-        np.minimum(thresh, t, out=thresh)
-        mask = t >= thresh[::-1]
-        mask.setflags(write=False)
-        return mask
+        return _removal_mask(self.table, np.minimum, _INT64_MAX)
 
     @cached_property
     def efx_mask(self) -> np.ndarray:
@@ -259,17 +257,24 @@ class Valuation:
         EFX compares against the complement's costliest single-item removal
         (vacuously true for the full bundle).
         """
-        t = self.table
-        worst = np.full(t.shape, _INT64_MIN, dtype=np.int64)
-        for _, t_lo, _, _, w_hi in _covering_halves(t, worst):
-            np.maximum(w_hi, t_lo, out=w_hi)
-        mask = t >= worst[::-1]
-        mask.setflags(write=False)
-        return mask
+        return _removal_mask(self.table, np.maximum, _INT64_MIN)
 
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
+
+
+def _removal_mask(t: np.ndarray, reduce, identity: int) -> np.ndarray:
+    """Read-only mask of bundles b with t[b] >= `reduce` (np.minimum or
+    np.maximum, with its `identity`) of t over one-item removals from b's
+    complement, in one sweep; the empty complement's threshold is 0."""
+    thresh = np.full(t.shape, identity, dtype=np.int64)
+    for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
+        reduce(th_hi, t_lo, out=th_hi)
+    thresh[0] = 0
+    mask = t >= thresh[::-1]
+    mask.setflags(write=False)
+    return mask
 
 
 def _checked_bundle(v: Valuation, bundle: int) -> int:
@@ -367,11 +372,8 @@ def make_additive(item_values: Sequence) -> Valuation:
     >>> make_additive([0]).table.tolist()
     [0, 0]
     """
+    _check_item_count(len(item_values))
     values = [as_fraction(x) for x in item_values]
-    if not values:
-        raise ValueError("need at least one item value")
-    if len(values) > MAX_ITEMS:
-        raise ValueError(f"at most {MAX_ITEMS} items are supported")
     if any(x < 0 for x in values):
         raise ValueError("item values must be nonnegative")
     numers, denom = _fixed_point(values)
@@ -391,8 +393,7 @@ def random_monotone(m: int, seed: int) -> Valuation:
     maximum over subsets (one sweep per item) then makes the table
     monotone, and the empty bundle is pinned to 0.
     """
-    if not 1 <= m <= MAX_ITEMS:
-        raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {m!r}")
+    _check_item_count(m)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     table = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
     for _, lo, hi in _covering_halves(table):
@@ -426,8 +427,7 @@ def tight_ef1_instance(m: int) -> Instance:
     >>> tight_ef1_instance(5).v1.item_values
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
     """
-    if m < 1:
-        raise ValueError(f"item count must be positive, got {m!r}")
+    _check_item_count(m)
     values = [1] * m if m % 2 == 0 else [1] * (m - 1) + [0]
     v = make_additive(values)
     return Instance(v, v)
@@ -440,8 +440,7 @@ def tight_efx_instance(m: int) -> Instance:
     >>> tight_efx_instance(3).v1.item_values
     (Fraction(1, 1), Fraction(1, 1), Fraction(3, 1))
     """
-    if m < 1:
-        raise ValueError(f"item count must be positive, got {m!r}")
+    _check_item_count(m)
     values = [1] * (m - 1) + [m]
     v = make_additive(values)
     return Instance(v, v)

@@ -329,25 +329,42 @@ def test_harper_command(capsys, monkeypatch):
     assert exc.value.code == 1
 
 
+def _colex_key(m):
+    """Bundles by item count, then by numeric value: the colex shell fill,
+    for which Harper's inequality fails."""
+    bundles = np.arange(1 << m)
+    counts = np.array([b.bit_count() for b in range(1 << m)])
+    return counts << m | bundles
+
+
 def test_harper_command_catches_the_colex_shell_fill(capsys, monkeypatch):
-    """Odd trials check a random instance's too-small/too-large pair, which
-    can need the simplicial shell fill; random disjoint draws never do. At
-    m=5 such a pair turns up about once in 100 odd trials; seed 5 meets one
-    at trial 33."""
+    """Odd trials check an instance's too-small/too-large pair, which can
+    need the simplicial shell fill; random disjoint draws never do. Trial 1
+    takes the extremal pair; of the random instances' pairs at m=5, about
+    one in 100 needs the fill, and seed 5 meets one at trial 33."""
     import envy_census.cli as cli_module
 
     argv = ("harper", "--m", "5", "--trials", "40", "--seed", "5")
     assert run_cli(capsys, *argv)[0] == 0
 
-    def colex_order(m):
-        counts = np.array([b.bit_count() for b in range(1 << m)])
-        return np.argsort(counts, kind="stable")
-
-    monkeypatch.setattr(cli_module.combinatorics, "_weight_order", colex_order)
+    monkeypatch.setattr(cli_module.combinatorics, "_simplicial_key", _colex_key)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 3
     failures = json.loads(out)["failures"]
-    assert failures and all(f["trial"] % 2 == 1 and f["d_original"] >= 2 for f in failures)
+    assert {1, 33} <= {f["trial"] for f in failures}
+    assert all(f["trial"] % 2 == 1 and f["d_original"] >= 2 for f in failures)
+
+
+@pytest.mark.parametrize("m", range(5, 14, 2))
+def test_harper_command_reaches_the_extremal_pair_at_trial_1(capsys, monkeypatch, m):
+    import envy_census.cli as cli_module
+
+    argv = ("harper", "--m", str(m), "--trials", "2", "--seed", "0")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli_module.combinatorics, "_simplicial_key", _colex_key)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert [f["trial"] for f in json.loads(out)["failures"]] == [1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -323,6 +324,22 @@ def test_cascade_uniqueness_small():
             decompositions = all_cascades(n, k)
             assert len(decompositions) == 1
             assert decompositions[0] == cascade_decompose(n, k).terms
+
+
+@pytest.mark.parametrize("n", [10**12, 10**30, 2**200 + 12345])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_cascade_terms_are_greedy_for_large_n(n, k):
+    cascade_decompose.cache_clear()
+    shadow.cache_clear()
+    start = time.perf_counter()
+    cascade = cascade_decompose(n, k)
+    shadow(n, k + 1)
+    assert time.perf_counter() - start < 0.1
+    assert cascade.value == n
+    rem = n
+    for a, t in cascade.terms:
+        assert binom(a, t) <= rem < binom(a + 1, t)
+        rem -= binom(a, t)
 
 
 def test_shadow_examples():

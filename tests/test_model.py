@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envy_census import (
+    MAX_ITEMS,
     Instance,
     InstanceFormatError,
     Valuation,
+    a_hamming_ball,
     bundle_of,
     as_fraction,
     check_monotone,
@@ -235,6 +237,29 @@ def test_tight_efx_instances():
     assert tight_efx_instance(3).v1.item_values == (1, 1, 3)
     assert tight_efx_instance(5).v1.item_values == (1, 1, 1, 1, 5)
     assert tight_efx_instance(1).v1.item_values == (1,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tight_ef1_instance(10**7),
+        lambda: tight_efx_instance(10**7),
+        lambda: tight_ef1_instance(0),
+        lambda: make_additive(["1"] * 10**6),
+        lambda: make_additive([]),
+        lambda: random_monotone(True, 1),
+        lambda: random_monotone(2.0, 1),
+        lambda: random_monotone(MAX_ITEMS + 1, 1),
+        lambda: Valuation(True, [0, 1]),
+        lambda: a_hamming_ball(0, 1, True),
+        lambda: a_hamming_ball(0, 1, 2.0),
+    ],
+)
+def test_bad_item_counts_are_rejected_before_any_work(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"item count must be in [01]\.\.24, got "):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_instance_requires_matching_m():
