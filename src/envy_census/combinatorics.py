@@ -16,7 +16,6 @@ memoized (pure functions, safe for concurrent readers).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -54,14 +53,21 @@ def hamming_distance(a: int, b: int) -> int:
 
 def _bundle_vectors(*systems: Iterable[int]) -> list[np.ndarray]:
     """Each system as a boolean vector over the 2^m bundles, for the least m
-    that holds every member of every system."""
-    members = [[int(x) for x in system] for system in systems]
-    for x in itertools.chain.from_iterable(members):
-        if not 0 <= x < 1 << model.MAX_ITEMS:
-            raise ValueError(f"bundle {x} is outside 0..2^{model.MAX_ITEMS}-1")
-    m = max(itertools.chain.from_iterable(members), default=0).bit_length()
-    vectors = [np.zeros(1 << m, dtype=bool) for _ in members]
-    for vector, system in zip(vectors, members):
+    that holds every member of every system. Members convert as int() does;
+    the first one outside [0, 2^MAX_ITEMS) raises ValueError."""
+    members = [list(system) for system in systems]
+    try:
+        arrays = [np.array(system, dtype=np.int64) for system in members]
+    except OverflowError:
+        # Some member is outside int64: compare exact ints to name the first bad one.
+        arrays = [np.array([int(x) for x in system], dtype=object) for system in members]
+    flat = np.concatenate(arrays)
+    bad = (flat < 0) | (flat >= 1 << model.MAX_ITEMS)
+    if bad.any():
+        raise ValueError(f"bundle {flat[np.argmax(bad)]} is outside 0..2^{model.MAX_ITEMS}-1")
+    m = int(flat.max(initial=0)).bit_length()
+    vectors = [np.zeros(1 << m, dtype=bool) for _ in arrays]
+    for vector, system in zip(vectors, arrays):
         vector[system] = True
     return vectors
 

@@ -3,8 +3,9 @@
 Items are numbered 0..m-1. A bundle is an m-bit integer: item i is in the
 bundle iff bit i is set, so the 2^m bundles are exactly the integers in
 [0, 2^m). A valuation stores one value per bundle as an exact fixed point:
-int64 numerators over a single positive denominator per table. Every
-fairness comparison is then an exact integer comparison, so ties behave
+integer numerators over a single positive denominator per table, int32 when
+the full bundle's numerator fits and int64 otherwise. Every fairness
+comparison is then an exact integer comparison, so ties behave
 deterministically instead of drifting with floating-point rounding.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ MAX_ITEMS = 24
 # Fixed-point grid for randomly drawn values in [0, 1).
 RANDOM_DENOM = 1 << 30
 
+_INT32_MAX = np.iinfo(np.int32).max
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
 _OUT_OF_RANGE = "values do not fit 64-bit fixed point over a common denominator"
@@ -110,15 +112,31 @@ def _covering_halves(*arrays: np.ndarray) -> Iterator[tuple]:
     the bundle of lo_k[r, c] plus item i, so over the m items every covering
     pair appears exactly once. The halves are views: writing them writes the
     arrays.
+
+    numpy runs a ufunc's inner loop along the smallest stride, which in a
+    half is one row: at most `bit` entries. So an item whose half-row is at
+    most 8 bytes wide, in the widest array, yields instead one tuple per
+    column c < bit, holding the 1-D columns lo_k[:, c] and hi_k[:, c], and
+    every inner loop runs down the long axis. Each column costs the consumer
+    one more call, which pays only when it spares over a hundred short
+    loops: the columns are cut only when each holds at least 128 * bit
+    entries. Consumers that need the position of an entry rebuild it from
+    `bit`.
     """
-    m = arrays[0].size.bit_length() - 1
-    for i in range(m):
+    size = arrays[0].size
+    width = max(a.itemsize for a in arrays)
+    for i in range(size.bit_length() - 1):
         bit = 1 << i
-        halves: list = [bit]
-        for a in arrays:
-            view = a.reshape(-1, 2 * bit)
-            halves += (view[:, :bit], view[:, bit:])
-        yield tuple(halves)
+        views = [a.reshape(-1, 2 * bit) for a in arrays]
+        if bit * width > 8 or size < 256 * bit * bit:
+            cuts = [(slice(bit), slice(bit, None))]
+        else:
+            cuts = zip(range(bit), range(bit, 2 * bit))
+        for lo, hi in cuts:
+            halves: list = [bit]
+            for view in views:
+                halves += (view[:, lo], view[:, hi])
+            yield tuple(halves)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +184,11 @@ def check_monotone(table) -> MonotoneViolation | None:
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
     for bit, lo, hi in _covering_halves(arr):
-        bad = hi < lo
-        if bad.any():
-            flat = int(np.argmax(bad))
+        if np.any(hi < lo):
+            # The first violation of this item, in bundle order, from the
+            # item's whole (rows, 2 * bit) view.
+            view = arr.reshape(-1, 2 * bit)
+            flat = int(np.argmax(view[:, bit:] < view[:, :bit]))
             small = (flat // bit) * 2 * bit + flat % bit
             large = small + bit
             return MonotoneViolation(small, large, arr[small], arr[large])
@@ -184,12 +204,13 @@ class Valuation:
     """Exact valuation over all bundles of an m-item set.
 
     `table[b]` is the value numerator of bundle `b`; the exact value is
-    table[b] / denom. Tables are validated (normalized, monotone) at
-    construction, except the generators' tables, which are monotone by
-    construction, and frozen, so they are safe to share across threads and
-    worker processes. `item_values` records the per-item values when the
-    valuation was built additively, which lets instance files round-trip in
-    the compact additive form.
+    table[b] / denom. The table is int32 when its largest numerator, the
+    full bundle's, fits and int64 otherwise (see `_table_dtype`). Tables are
+    validated (normalized, monotone) at construction, except the generators'
+    tables, which are monotone by construction, and frozen, so they are safe
+    to share across threads and worker processes. `item_values` records the
+    per-item values when the valuation was built additively, which lets
+    instance files round-trip in the compact additive form.
 
     `ef1_mask` and `efx_mask` are derived from the table: each costs one
     O(m * 2^m) sweep on first access and is then kept, read-only, for as long
@@ -213,13 +234,14 @@ class Valuation:
         violation = check_monotone(table)
         if violation is not None:
             raise ValueError(f"valuation is not monotone: {violation}")
+        table = table.astype(_table_dtype(table[-1]), copy=False)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @classmethod
     def _trusted(cls, m: int, table: np.ndarray, denom: int, item_values=None) -> Valuation:
-        """Take over and freeze a fresh int64 table, normalized and monotone
-        by construction: no copy, no check."""
+        """Take over and freeze a fresh table, normalized and monotone by
+        construction and already in its `_table_dtype`: no copy, no check."""
         table.setflags(write=False)
         v = object.__new__(cls)
         v.__dict__.update(m=m, table=table, denom=denom, item_values=item_values)
@@ -247,7 +269,7 @@ class Valuation:
         value, complement's cheapest single-item removal). In a monotone table
         that is the cheapest removal, or 0 for the empty complement.
         """
-        return _removal_mask(self.table, np.minimum, _INT64_MAX)
+        return _removal_mask(self.table, np.minimum, np.iinfo(self.table.dtype).max)
 
     @cached_property
     def efx_mask(self) -> np.ndarray:
@@ -257,7 +279,7 @@ class Valuation:
         EFX compares against the complement's costliest single-item removal
         (vacuously true for the full bundle).
         """
-        return _removal_mask(self.table, np.maximum, _INT64_MIN)
+        return _removal_mask(self.table, np.maximum, np.iinfo(self.table.dtype).min)
 
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
@@ -266,15 +288,21 @@ class Valuation:
 
 def _removal_mask(t: np.ndarray, reduce, identity: int) -> np.ndarray:
     """Read-only mask of bundles b with t[b] >= `reduce` (np.minimum or
-    np.maximum, with its `identity`) of t over one-item removals from b's
-    complement, in one sweep; the empty complement's threshold is 0."""
-    thresh = np.full(t.shape, identity, dtype=np.int64)
+    np.maximum, with its `identity` in t's dtype) of t over one-item removals
+    from b's complement, in one sweep; the empty complement's threshold is 0."""
+    thresh = np.full(t.shape, identity, dtype=t.dtype)
     for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
         reduce(th_hi, t_lo, out=th_hi)
     thresh[0] = 0
     mask = t >= thresh[::-1]
     mask.setflags(write=False)
     return mask
+
+
+def _table_dtype(top: int) -> type:
+    """int32 when a monotone table's largest numerator `top` (the full
+    bundle's) fits, else int64: O(1), as the table has no larger entry."""
+    return np.int32 if top <= _INT32_MAX else np.int64
 
 
 def _checked_bundle(v: Valuation, bundle: int) -> int:
@@ -377,12 +405,13 @@ def make_additive(item_values: Sequence) -> Valuation:
     if any(x < 0 for x in values):
         raise ValueError("item values must be nonnegative")
     numers, denom = _fixed_point(values)
-    if sum(numers) > _INT64_MAX:
+    total = sum(numers)
+    if total > _INT64_MAX:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
-    table = np.zeros(1 << m, dtype=np.int64)
-    for (_, _, hi), num in zip(_covering_halves(table), numers):
-        hi += num
+    table = np.zeros(1 << m, dtype=_table_dtype(total))
+    for bit, _, hi in _covering_halves(table):
+        hi += numers[bit.bit_length() - 1]
     return Valuation._trusted(m, table, denom, tuple(values))
 
 
@@ -395,7 +424,10 @@ def random_monotone(m: int, seed: int) -> Valuation:
     """
     _check_item_count(m)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    # Drawn as int64, so the stream and every table stay as they were, then
+    # narrowed before the sweep: values below RANDOM_DENOM fit int32.
     table = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
+    table = table.astype(_table_dtype(RANDOM_DENOM - 1))
     for _, lo, hi in _covering_halves(table):
         np.maximum(hi, lo, out=hi)
     table[0] = 0

@@ -1,6 +1,9 @@
+import json
 import math
+import pickle
 from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,11 @@ from envy_census import (
     count_ef1_allocations,
     count_efx_allocations,
     cut_and_choose_efx,
+    dumps_instance,
     efx_partition,
     extract_set_systems,
     f_ef1,
+    instance_from_dict,
     is_ef1_allocation,
     is_ef1_bundle,
     is_efx_allocation,
@@ -33,6 +38,7 @@ from envy_census import (
 )
 
 from oracles import (
+    bundle_items,
     classification_systems,
     count_allocations,
     ef1_ok,
@@ -41,6 +47,7 @@ from oracles import (
     first_two_sided_efx,
     min_cross_distance,
     small_value_table,
+    valuation_map,
 )
 
 random_instances = st.builds(
@@ -327,6 +334,76 @@ def test_census_report_fairness_selection():
     assert census_report(inst, "efx").ef1_count is None
     with pytest.raises(ValueError):
         census_report(inst, "all")
+
+
+# ---------------------------------------------------------------------------
+# table dtypes
+
+INT32_MAX = 2**31 - 1
+
+
+def _dtype_cases(m):
+    """(valuation, its table dtype), all from one tie-heavy table: the table
+    itself; the same scaled by 2^29 with the full bundle set to 2^31 - 1
+    (still int32) or to 2^31 (int64); and additive agents whose full bundle is
+    worth 2^31 - 1 or 2^31 or has large item values."""
+    base = small_value_table(m, 7 * m)
+    yield Valuation(m, base), np.int32
+    for top, dtype in ((INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)):
+        scaled = base * (1 << 29)
+        scaled[-1] = top
+        yield Valuation(m, scaled, 1 << 29), dtype
+    for top, dtype in ((INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)):
+        yield make_additive([top - (m - 1)] + [1] * (m - 1)), dtype
+    yield make_additive([2**40 + 3 * i for i in range(m)]), np.int64
+
+
+def _int64_twin(v):
+    """The same valuation with its table held as int64."""
+    return Valuation._trusted(v.m, v.table.astype(np.int64), v.denom, v.item_values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_table_dtype_is_int32_exactly_when_the_full_bundle_fits(m):
+    for v, dtype in _dtype_cases(m):
+        assert v.table.dtype == dtype
+        assert not v.table.flags.writeable
+    assert random_monotone(m, 3).table.dtype == np.int32
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_outputs_match_oracles_and_agree_across_dtypes(m):
+    cases = [v for v, _ in _dtype_cases(m)]
+    items = frozenset(range(m))
+    for v1, v2 in zip(cases, cases[1:] + cases[:1]):
+        inst = Instance(v1, v2)
+        wide = Instance(_int64_twin(v1), _int64_twin(v2))
+        for v, twin in ((inst.v1, wide.v1), (inst.v2, wide.v2)):
+            u = valuation_map(v)
+            bundles = [bundle_items(b, m) for b in range(1 << m)]
+            assert v.ef1_mask.tolist() == [ef1_ok(u, items, b) for b in bundles]
+            assert v.efx_mask.tolist() == [efx_ok(u, items, b) for b in bundles]
+            assert np.array_equal(v.ef1_mask, twin.ef1_mask)
+            assert np.array_equal(v.efx_mask, twin.efx_mask)
+            too_small, too_large, good = classification_systems(v)
+            assert extract_set_systems(v) == extract_set_systems(twin) == (too_small, too_large, good)
+            separated = min_cross_distance(too_small, too_large) >= 2
+            assert verify_separation(v) == verify_separation(twin) == separated
+        assert count_ef1_allocations(inst) == count_allocations(inst, ef1_ok)
+        assert count_efx_allocations(inst) == count_allocations(inst, efx_ok)
+        assert census_report(inst) == census_report(wide)
+        assert cut_and_choose_efx(inst) == cut_and_choose_efx(wide)
+        text = dumps_instance(inst)
+        assert text == dumps_instance(wide)
+        assert dumps_instance(instance_from_dict(json.loads(text))) == text
+
+
+def test_pickle_keeps_the_table_dtype_and_read_only():
+    for v, dtype in _dtype_cases(4):
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy.table.dtype == dtype
+        assert not copy.table.flags.writeable
+        assert np.array_equal(copy.table, v.table)
 
 
 # ---------------------------------------------------------------------------

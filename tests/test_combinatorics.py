@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -115,6 +116,33 @@ def test_set_system_checks_reject_out_of_range_bundles(bundle):
         system_distance({0}, {bundle})
     with pytest.raises(ValueError):
         is_sperner({1, bundle})
+
+
+@pytest.mark.parametrize(
+    "systems,first_bad",
+    [
+        (([1, 2**70], [0]), 2**70),
+        (([2**64 - 1, -1], [0]), 2**64 - 1),
+        (([-1, 2**70], [0]), -1),
+        (([1], [2**80, -5]), 2**80),
+        (([1 << MAX_ITEMS, -(2**63) - 1], [0]), 1 << MAX_ITEMS),
+    ],
+)
+def test_out_of_range_bundles_raise_value_error_naming_the_first(systems, first_bad):
+    """Members beyond int64 raise ValueError, never OverflowError, and the
+    message names the first bad member, systems taken in argument order."""
+    with pytest.raises(ValueError, match=rf"^bundle {first_bad} is outside"):
+        system_distance(*systems)
+
+
+def test_members_convert_as_int_does():
+    members = [np.int8(3), True, 2.7, "5", Fraction(9, 2), np.uint64(6)]
+    assert {int(x) for x in members} == {1, 2, 3, 4, 5, 6}
+    assert is_sperner(members) == is_sperner({1, 2, 3, 4, 5, 6})
+    assert system_distance(members, {7}) == system_distance({1, 2, 3, 4, 5, 6}, {7})
+    for bad, error in ((None, TypeError), (float("nan"), ValueError)):
+        with pytest.raises(error):
+            is_sperner([1, bad])
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,9 @@ def _relabel(v, perm):
 def test_masks_are_invariant_under_scaling():
     for v in _metamorphic_valuations():
         for k in (3, (2**63 - 1) // max(1, int(v.table[-1]))):
-            scaled = Valuation(v.m, v.table * k, v.denom * k)
+            # int32 tables would wrap: scale in int64 (the largest k makes
+            # the scaled table int64, so this also compares across dtypes).
+            scaled = Valuation(v.m, v.table.astype(np.int64) * k, v.denom * k)
             assert np.array_equal(scaled.ef1_mask, v.ef1_mask)
             assert np.array_equal(scaled.efx_mask, v.efx_mask)
 

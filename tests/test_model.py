@@ -99,6 +99,17 @@ def test_make_additive_matches_direct_sums():
         assert v.value(bits) == u[bundle_items(bits, 5)]
 
 
+@pytest.mark.parametrize("scale", [1, 2**40])
+def test_make_additive_sums_each_item_once_on_column_walks(scale):
+    """At m = 12 the walk yields several column views for the low items;
+    each item's value is still added to exactly its bundles."""
+    m = 12
+    values = [scale * (3**i % 1009) for i in range(m)]
+    bundles = np.arange(1 << m)
+    expected = sum(((bundles >> i) & 1) * x for i, x in enumerate(values))
+    assert make_additive(values).table.tolist() == expected.tolist()
+
+
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=6), st.data())
 def test_additive_is_additive_on_disjoint_bundles(values, data):
     v = make_additive(values)
@@ -128,6 +139,67 @@ def test_check_monotone_object_dtype_path():
     assert violation.superset == violation.subset | violation.superset
     assert table[violation.subset] > table[violation.superset]
     assert check_monotone([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) is None
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_covering_halves_yield_every_covering_pair_once(m, dtype):
+    """Walking an arange table, whose values are the bundles, yields each
+    covering pair (b, b | bit) exactly once, column views included (from
+    m = 8 on, the narrow low items are walked column by column)."""
+    pairs = []
+    for bit, lo, hi in model._covering_halves(np.arange(1 << m, dtype=dtype)):
+        pairs += zip(lo.ravel().tolist(), hi.ravel().tolist(), [bit] * lo.size)
+    bits = [1 << i for i in range(m)]
+    expected = [(b, b | bit, bit) for bit in bits for b in range(1 << m) if not b & bit]
+    assert sorted(pairs) == sorted(expected)
+
+
+def test_covering_halves_walk_narrow_low_items_by_column():
+    """The low-item rule: an item yields one tuple per column when its
+    half-row is at most 8 bytes wide and each column holds at least 128 * bit
+    entries; the widest array sets the width."""
+    def column_bits(*arrays):
+        return [bit for bit, lo, *_ in model._covering_halves(*arrays) if lo.ndim == 1]
+
+    flags = np.zeros(1 << 12, dtype=bool)
+    assert column_bits(flags) == [1, 2, 2, 4, 4, 4, 4]
+    assert column_bits(flags.astype(np.int32)) == [1, 2, 2]
+    assert column_bits(flags, flags.astype(np.int64)) == [1]
+    assert column_bits(np.zeros(1 << 7, dtype=bool)) == []
+
+
+@pytest.mark.parametrize("m", [3, 8, 12])
+def test_covering_halves_walk_several_arrays_in_step(m):
+    below, above = np.zeros((2, 1 << m), dtype=np.int8)
+    for _, lo, _, _, hi in model._covering_halves(below, above):
+        lo += 1
+        hi += 1
+    weight = np.array([b.bit_count() for b in range(1 << m)])
+    assert np.array_equal(above, weight) and np.array_equal(below, m - weight)
+
+
+@pytest.mark.parametrize("kind", ["int16", "int32", "int64", "list", "fraction"])
+@pytest.mark.parametrize("item", [0, 1, 2])
+def test_check_monotone_witness_in_a_nonzero_column(item, kind):
+    """A single violation at `item`, in a nonzero row and (for items 1 and 2)
+    a nonzero column of the item's view, is the witness returned, on tables
+    large enough for the walk to split the low items into columns."""
+    m, bit = 12, 1 << item
+    table = np.arange(1 << m) * 2
+    small = (bit - 1) | 0b1010_0000_0000
+    table[small] = table[small | bit] + 1
+    converted = {
+        "int16": table.astype(np.int16),
+        "int32": table.astype(np.int32),
+        "int64": table,
+        "list": table.tolist(),
+        "fraction": [Fraction(int(x), 3) for x in table],
+    }[kind]
+    violation = check_monotone(converted)
+    assert (violation.subset, violation.superset) == (small, small | bit)
+    assert violation.subset_value == converted[small]
+    assert violation.superset_value == converted[small | bit]
 
 
 def test_valuation_rejects_non_monotone_tables():
