@@ -424,8 +424,8 @@ def random_monotone(m: int, seed: int) -> Valuation:
     """
     _check_item_count(m)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    # Drawn as int64, so the stream and every table stay as they were, then
-    # narrowed before the sweep: values below RANDOM_DENOM fit int32.
+    # The int64 draw fixes the stream, and so every random table; values
+    # below RANDOM_DENOM fit int32, so the table is narrowed before the sweep.
     table = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
     table = table.astype(_table_dtype(RANDOM_DENOM - 1))
     for _, lo, hi in _covering_halves(table):
