@@ -5,9 +5,10 @@ ball-replacement (Harper) check for system distances.
 
 Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
-bundles, for the least m that holds every member, and walk the same
-covering-pair sweep as the census masks: O(m * 2^m) per sweep, never a scan
-over pairs of members. A Hamming ball is an initial segment of the
+bundles, for the least m that holds every member (the Harper check takes
+its m and rejects members beyond it), and walk the same covering-pair sweep
+as the census masks: O(m * 2^m) per sweep, never a scan over pairs of
+members. A Hamming ball is an initial segment of the
 simplicial order, cut from one additive key without a sort, XOR-ed with its
 center; sets are built only at the public boundary. Binomial, cascade and
 shadow arithmetic is exact Python integers; cascade and shadow results are
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -51,10 +53,11 @@ def hamming_distance(a: int, b: int) -> int:
     return (int(a) ^ int(b)).bit_count()
 
 
-def _bundle_vectors(*systems: Iterable[int]) -> list[np.ndarray]:
-    """Each system as a boolean vector over the 2^m bundles, for the least m
-    that holds every member of every system. Members convert as int() does;
-    the first one outside [0, 2^MAX_ITEMS) raises ValueError."""
+def _bundle_vectors(*systems: Iterable[int], m: int | None = None) -> list[np.ndarray]:
+    """Each system as a boolean vector over the 2^m bundles; without m, for
+    the least m that holds every member of every system. Members convert as
+    int() does; the first one outside [0, 2^m) (without m, [0, 2^MAX_ITEMS))
+    raises ValueError."""
     members = [list(system) for system in systems]
     try:
         arrays = [np.array(system, dtype=np.int64) for system in members]
@@ -62,10 +65,12 @@ def _bundle_vectors(*systems: Iterable[int]) -> list[np.ndarray]:
         # Some member is outside int64: compare exact ints to name the first bad one.
         arrays = [np.array([int(x) for x in system], dtype=object) for system in members]
     flat = np.concatenate(arrays)
-    bad = (flat < 0) | (flat >= 1 << model.MAX_ITEMS)
+    top = model.MAX_ITEMS if m is None else m
+    bad = (flat < 0) | (flat >= 1 << top)
     if bad.any():
-        raise ValueError(f"bundle {flat[np.argmax(bad)]} is outside 0..2^{model.MAX_ITEMS}-1")
-    m = int(flat.max(initial=0)).bit_length()
+        raise ValueError(f"bundle {flat[np.argmax(bad)]} is outside 0..2^{top}-1")
+    if m is None:
+        m = int(flat.max(initial=0)).bit_length()
     vectors = [np.zeros(1 << m, dtype=bool) for _ in arrays]
     for vector, system in zip(vectors, arrays):
         vector[system] = True
@@ -108,22 +113,13 @@ def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
     return _vector_distance(*_bundle_vectors(system_a, system_b))
 
 
-def _check_ball_args(m: int, *sizes: int) -> None:
-    """Check m and every ball size, before anything of length 2^m is built."""
-    model._check_item_count(m, lo=0)
-    for size in sizes:
-        if not 1 <= size <= (1 << m):
-            raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
-
-
 def _simplicial_key(m: int) -> np.ndarray:
     """Per-bundle int32 key count(b) * 2^m + 2^m - 1 - bitrev(b) (< 2^31 for
     m <= 24), rising in simplicial order: by item count, and within a count
-    x before y when the least item of x ^ y is in x."""
-    key = np.full(1 << m, (1 << m) - 1, dtype=np.int32)
-    for bit, _, key_hi in model._covering_halves(key):
-        key_hi += (1 << m) - (1 << (m - 1)) // bit
-    return key
+    x before y when the least item of x ^ y is in x. Item i adds
+    2^m - 2^(m-1-i), so the key is an additive table."""
+    weights = [(1 << m) - (1 << (m - 1 - i)) for i in range(m)]
+    return model._additive_table(weights, (1 << m) - 1, np.int32)
 
 
 def _segment(key: np.ndarray, size: int) -> np.ndarray:
@@ -139,7 +135,8 @@ def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
     >>> len(the_hamming_ball(5, 3, 3))
     8
     """
-    if not 0 <= r <= m:
+    model._check_item_count(m, lo=0)
+    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= m:
         raise ValueError(f"radius must be in 0..{m}, got {r!r}")
     return a_hamming_ball(center, sum(binom(m, t) for t in range(r + 1)), m)
 
@@ -157,10 +154,13 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     >>> sorted(a_hamming_ball(0, 5, 3))
     [0, 1, 2, 3, 4]
     """
-    _check_ball_args(m, size)
-    if not 0 <= center < 1 << m:
+    model._check_item_count(m, lo=0)
+    if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= 1 << m:
+        raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
+    c = operator.index(center)
+    if not 0 <= c < 1 << m:
         raise ValueError(f"center {center!r} out of range for m={m}")
-    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), size)) ^ center))
+    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), size)) ^ c))
 
 
 @dataclass(frozen=True)
@@ -181,15 +181,16 @@ def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> H
     """Replace two nonempty set systems by same-size canonical Hamming balls
     centered at the full set (for the first) and the empty set (for the
     second), and check the balls are at least as far apart as the originals.
+    Every member must be a bundle of the m items.
 
     >>> verify_harper({0b111}, {0}, 3).ok
     True
     """
-    vector_a, vector_b = _bundle_vectors(system_a, system_b)
+    model._check_item_count(m, lo=0)
+    vector_a, vector_b = _bundle_vectors(system_a, system_b, m=m)
     size_a, size_b = int(np.count_nonzero(vector_a)), int(np.count_nonzero(vector_b))
     if not size_a or not size_b:
         raise ValueError("both set systems must be nonempty")
-    _check_ball_args(m, size_a, size_b)
     key = _simplicial_key(m)
     d_original = _vector_distance(vector_a, vector_b)
     # Complementing reverses bundle indices: [::-1] centers a ball at the full set.

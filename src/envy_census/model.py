@@ -103,8 +103,21 @@ def iter_items(bundle: int) -> Iterator[int]:
         b ^= low
 
 
+def _additive_table(weights: Sequence[int], base: int, dtype) -> np.ndarray:
+    """Per-bundle base + sum of weights[i] over its items i, built by doubling:
+    entries [2^i, 2^(i+1)) are entries [0, 2^i) plus weights[i], each written
+    once, with no temporary. Every sum must fit `dtype`."""
+    table = np.empty(1 << len(weights), dtype=dtype)
+    table[0] = base
+    for i, weight in enumerate(weights):
+        np.add(table[: 1 << i], weight, out=table[1 << i : 2 << i])
+    return table
+
+
 def _covering_halves(*arrays: np.ndarray) -> Iterator[tuple]:
-    """Walk every covering pair of the bundle lattice, one item at a time.
+    """Walk every covering pair of the bundle lattice, one item at a time:
+    the closure sweeps, whose updates compound over items (additive tables
+    are built by doubling instead, see `_additive_table`).
 
     The arrays are indexed by bundle, so each holds 2^m entries. For item i
     this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with bit = 2^i: the two
@@ -203,14 +216,16 @@ def check_monotone(table) -> MonotoneViolation | None:
 class Valuation:
     """Exact valuation over all bundles of an m-item set.
 
-    `table[b]` is the value numerator of bundle `b`; the exact value is
-    table[b] / denom. The table is int32 when its largest numerator, the
-    full bundle's, fits and int64 otherwise (see `_table_dtype`). Tables are
-    validated (normalized, monotone) at construction, except the generators'
-    tables, which are monotone by construction, and frozen, so they are safe
-    to share across threads and worker processes. `item_values` records the
-    per-item values when the valuation was built additively, which lets
-    instance files round-trip in the compact additive form.
+    `table[b]` is the value numerator of bundle `b`, an integer within int64
+    (an integer array or Python ints; anything else raises ValueError); the
+    exact value is table[b] / denom. The table is int32 when its largest
+    numerator, the full bundle's, fits and int64 otherwise (see
+    `_table_dtype`). Tables are validated (normalized, monotone) at
+    construction, except the generators' tables, which are monotone by
+    construction, and frozen, so they are safe to share across threads and
+    worker processes. `item_values` records the per-item values when the
+    valuation was built additively, which lets instance files round-trip in
+    the compact additive form.
 
     `ef1_mask` and `efx_mask` are derived from the table: each costs one
     O(m * 2^m) sweep on first access and is then kept, read-only, for as long
@@ -224,9 +239,9 @@ class Valuation:
 
     def __post_init__(self) -> None:
         _check_item_count(self.m)
-        if not isinstance(self.denom, int) or self.denom < 1:
+        if isinstance(self.denom, bool) or not isinstance(self.denom, int) or self.denom < 1:
             raise ValueError(f"denominator must be a positive integer, got {self.denom!r}")
-        table = np.array(self.table, dtype=np.int64, copy=True)
+        table = _int64_numerators(self.table)
         if table.shape != (1 << self.m,):
             raise ValueError(
                 f"table must have 2^{self.m} entries, got shape {table.shape}"
@@ -266,37 +281,56 @@ class Valuation:
         EF1 for this valuation.
 
         A bundle is EF1 exactly when its value reaches min(complement's
-        value, complement's cheapest single-item removal). In a monotone table
-        that is the cheapest removal, or 0 for the empty complement.
+        value, complement's cheapest single-item removal): the threshold
+        starts from the table itself and the sweep takes in the removals.
         """
-        return _removal_mask(self.table, np.minimum, np.iinfo(self.table.dtype).max)
+        return _removal_mask(self.table, self.table.copy(), np.minimum)
 
     @cached_property
     def efx_mask(self) -> np.ndarray:
         """Read-only boolean vector over all bundles: entry b iff bundle b is
         EFX for this valuation.
 
-        EFX compares against the complement's costliest single-item removal
-        (vacuously true for the full bundle).
+        EFX compares against the complement's costliest single-item removal,
+        so the threshold starts from 0: the full bundle passes vacuously, and
+        values are nonnegative.
         """
-        return _removal_mask(self.table, np.maximum, np.iinfo(self.table.dtype).min)
+        return _removal_mask(self.table, np.zeros_like(self.table), np.maximum)
 
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
 
 
-def _removal_mask(t: np.ndarray, reduce, identity: int) -> np.ndarray:
-    """Read-only mask of bundles b with t[b] >= `reduce` (np.minimum or
-    np.maximum, with its `identity` in t's dtype) of t over one-item removals
-    from b's complement, in one sweep; the empty complement's threshold is 0."""
-    thresh = np.full(t.shape, identity, dtype=t.dtype)
+def _removal_mask(t: np.ndarray, thresh: np.ndarray, reduce) -> np.ndarray:
+    """Read-only mask of bundles b with t[b] >= thresh[c], c = b's complement,
+    after one sweep folds t over one-item removals into `thresh` with
+    `reduce` (np.minimum or np.maximum). `thresh` is consumed: its seed is
+    the definition's value before any removal."""
     for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
         reduce(th_hi, t_lo, out=th_hi)
-    thresh[0] = 0
     mask = t >= thresh[::-1]
     mask.setflags(write=False)
     return mask
+
+
+def _int64_numerators(table) -> np.ndarray:
+    """A fresh int64 copy of `table`, an integer array or a sequence of ints
+    within int64. Nothing is cast on the way in: any other entry, or one
+    outside int64, raises ValueError."""
+    if not isinstance(table, np.ndarray):
+        table = np.array(table, dtype=object)
+    if table.dtype.kind == "O":
+        for x in table.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"table numerator {x!r} is not an integer")
+    elif table.dtype.kind not in "iu":
+        raise ValueError(f"table numerators must be integers, got {table.dtype}")
+    if table.dtype.kind != "i" and table.size and not (
+        _INT64_MIN <= int(table.min()) and int(table.max()) <= _INT64_MAX
+    ):
+        raise ValueError("table numerators must fit int64")
+    return table.astype(np.int64)
 
 
 def _table_dtype(top: int) -> type:
@@ -409,9 +443,7 @@ def make_additive(item_values: Sequence) -> Valuation:
     if total > _INT64_MAX:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
-    table = np.zeros(1 << m, dtype=_table_dtype(total))
-    for bit, _, hi in _covering_halves(table):
-        hi += numers[bit.bit_length() - 1]
+    table = _additive_table(numers, 0, _table_dtype(total))
     return Valuation._trusted(m, table, denom, tuple(values))
 
 

@@ -32,6 +32,7 @@ from envy_census import (
     tight_efx_instance,
     verify_harper,
 )
+from envy_census import combinatorics
 
 from oracles import (
     all_cascades,
@@ -247,10 +248,54 @@ def test_a_hamming_ball_rejects_center_before_allocating():
     try:
         with pytest.raises(ValueError, match="center"):
             a_hamming_ball(1 << 24, 1, 24)
+        with pytest.raises(TypeError):
+            a_hamming_ball(1.5, 1, 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_ball_sizes_and_radii_are_checked_before_allocating():
+    """Sizes and radii are ints, not bools, like item counts."""
+    tracemalloc.start()
+    try:
+        for size in (2.5, True, 0, (1 << 24) + 1):
+            with pytest.raises(ValueError, match="size"):
+                a_hamming_ball(0, size, 24)
+        for radius in (True, 1.0, -1, 25):
+            with pytest.raises(ValueError, match="radius"):
+                the_hamming_ball(0, radius, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "system_a,system_b,m,bad",
+    [
+        ([8], [0], 3, 8),
+        ([1 << 20], [0], 2, 1 << 20),
+        ([5, 16], [17], 4, 16),
+        ([1], [0, -1], 2, -1),
+        ([0], [2**70], 4, 2**70),
+    ],
+)
+def test_verify_harper_rejects_members_outside_its_item_count(system_a, system_b, m, bad):
+    with pytest.raises(ValueError, match=rf"^bundle {bad} is outside 0\.\.2\^{m}-1$"):
+        verify_harper(system_a, system_b, m)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_simplicial_key_is_its_definition(m):
+    """count(b) * 2^m + 2^m - 1 - bitrev(b), bundle by bundle."""
+    def bitrev(b):
+        return sum(1 << (m - 1 - i) for i in range(m) if b >> i & 1)
+
+    expected = [b.bit_count() * (1 << m) + (1 << m) - 1 - bitrev(b) for b in range(1 << m)]
+    key = combinatorics._simplicial_key(m)
+    assert key.dtype == np.int32 and key.tolist() == expected
 
 
 def test_verify_harper_examples():

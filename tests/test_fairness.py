@@ -77,6 +77,7 @@ def _all_valuations_for_oracle():
     yield make_additive([1, 1, 3])
     yield make_additive([1, 1, 1, 1])
     yield make_additive([2, 0, 5, 1])
+    yield Valuation(4, np.zeros(16, dtype=np.int64))
     for seed in range(6):
         yield random_monotone(5, seed)
     yield from _tie_heavy_valuations()

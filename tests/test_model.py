@@ -110,6 +110,23 @@ def test_make_additive_sums_each_item_once_on_column_walks(scale):
     assert make_additive(values).table.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize(
+    "values,dtype",
+    [
+        ([2**31 - 7, 1, 2, 0, 3], np.int32),  # total 2^31 - 1
+        ([2**31 - 6, 1, 2, 0, 3], np.int64),  # total 2^31
+        ([2**62 - 5, 0, 2**62 - 7, 3], np.int64),
+        ([2**62, 2**62 - 1, 0], np.int64),  # total 2^63 - 1
+    ],
+)
+def test_make_additive_matches_the_oracle_at_dtype_edges(values, dtype):
+    m = len(values)
+    v = make_additive(values)
+    u = additive_map(values, m)
+    assert v.table.dtype == dtype and int(v.table[-1]) == sum(values)
+    assert [v.value(b) for b in range(1 << m)] == [u[bundle_items(b, m)] for b in range(1 << m)]
+
+
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=6), st.data())
 def test_additive_is_additive_on_disjoint_bundles(values, data):
     v = make_additive(values)
@@ -213,6 +230,56 @@ def test_valuation_rejects_non_monotone_tables():
         Valuation(0, np.array([0]))
     with pytest.raises(ValueError, match="item count"):
         Valuation(True, np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [0, Fraction(1, 2)],
+        [0, 0.5],
+        [0, "7"],
+        [0, True],
+        [0, None],
+        np.array([0.0, 1.0]),
+        np.array([False, True]),
+    ],
+    ids=repr,
+)
+def test_valuation_takes_integer_numerators_only(table):
+    """Nothing is truncated, parsed or cast on the way in."""
+    with pytest.raises(ValueError, match="integer"):
+        Valuation(1, table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[0, 2**63], np.array([0, 2**63], dtype=np.uint64), [0, 2**70]],
+    ids=["int", "uint64", "big-int"],
+)
+def test_valuation_rejects_numerators_beyond_int64(table):
+    with pytest.raises(ValueError, match="fit int64"):
+        Valuation(1, table)
+
+
+@pytest.mark.parametrize("denom", [True, 0, 2.0, Fraction(2)], ids=repr)
+def test_valuation_takes_positive_int_denominators_only(denom):
+    with pytest.raises(ValueError, match="denominator"):
+        Valuation(1, [0, 1], denom)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [0, INT64_MAX],
+        (0, np.int8(3)),
+        np.array([0, 5], dtype=np.uint64),
+        np.array([0, 5], dtype=object),
+        np.array([0, 5], dtype=np.int16),
+    ],
+    ids=repr,
+)
+def test_valuation_takes_integer_arrays_and_ints(table):
+    assert Valuation(1, table).table.tolist() == [int(x) for x in table]
 
 
 def test_valuation_table_is_frozen():
