@@ -16,6 +16,7 @@ Every class count, list and check reads the bundle classes from
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,6 +53,14 @@ def count_efx_allocations(inst: Instance) -> int:
     return int(np.count_nonzero(good))
 
 
+def _positive_count(m) -> int:
+    """m as an int; ValueError unless it is a positive integer (any size)."""
+    n = model._integer(m)
+    if n is None or n < 1:
+        raise ValueError(f"item count must be a positive integer, got {m!r}")
+    return n
+
+
 def f_ef1(m: int) -> int:
     """Tight lower bound on the EF1 allocation count for m items:
     C(m, m/2) for even m, 2*C(m-1, (m-1)/2) for odd m.
@@ -59,8 +68,7 @@ def f_ef1(m: int) -> int:
     >>> f_ef1(4), f_ef1(5), f_ef1(1)
     (6, 12, 2)
     """
-    if m < 1:
-        raise ValueError(f"item count must be positive, got {m!r}")
+    m = _positive_count(m)
     if m % 2 == 0:
         return binom(m, m // 2)
     return 2 * binom(m - 1, (m - 1) // 2)
@@ -75,8 +83,7 @@ def s_max(m: int) -> int:
     >>> s_max(4), s_max(5), s_max(1)
     (5, 10, 0)
     """
-    if m < 1:
-        raise ValueError(f"item count must be positive, got {m!r}")
+    m = _positive_count(m)
     k = m // 2
     s = sum(binom(m, t) for t in range(k))
     return s if m % 2 == 0 or not k else s + binom(m - 1, k - 1)
@@ -192,8 +199,8 @@ def combine_ef1_partitions(
     representative). The result therefore has exactly
     len(partitions_1) + len(partitions_2) allocations, all EF1.
     """
-    p1 = {int(p) for p in partitions_1}
-    p2 = {int(p) for p in partitions_2}
+    p1 = set(map(operator.index, partitions_1))
+    p2 = set(map(operator.index, partitions_2))
     for agent, (pset, v) in enumerate(((p1, inst.v1), (p2, inst.v2)), start=1):
         good = _bundle_classes(v)[2]
         for rep in pset:

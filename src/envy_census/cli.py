@@ -99,6 +99,12 @@ def _fmt_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _cannot_write(command: str, path: str, exc: OSError) -> int:
+    """Report an output path that cannot be opened for writing: a usage error."""
+    print(f"{command}: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -124,7 +130,10 @@ def _cmd_gen(args) -> int:
     else:
         inst = model.random_instance(args.m, args.seed)
     if args.out:
-        model.save_instance(inst, args.out)
+        try:
+            model.save_instance(inst, args.out)
+        except OSError as exc:
+            return _cannot_write("gen", args.out, exc)
     else:
         sys.stdout.write(model.dumps_instance(inst))
     return EXIT_OK
@@ -191,16 +200,20 @@ def _cmd_verify(args) -> int:
         for m in range(lo, hi + 1)
         for trial in range(args.trials)
     ]
-    # Rows keep task order whatever the worker count; the cap bounds the forks.
-    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_verify_row, tasks, chunksize=chunk))
-    else:
-        rows = [_verify_row(task) for task in tasks]
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    # The output opens first, so a bad path fails before any row is computed.
     try:
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        return _cannot_write("verify", args.out, exc)
+    try:
+        # Rows keep task order whatever the worker count; the cap bounds the forks.
+        jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        if jobs > 1:
+            chunk = max(1, len(tasks) // (jobs * 4))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_verify_row, tasks, chunksize=chunk))
+        else:
+            rows = [_verify_row(task) for task in tasks]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(fields for fields, _ in rows)

@@ -6,9 +6,9 @@ ball-replacement (Harper) check for system distances.
 Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
 bundles, for the least m that holds every member (the Harper check takes
-its m and rejects members beyond it), and walk the same covering-pair sweep
-as the census masks: O(m * 2^m) per sweep, never a scan over pairs of
-members. A Hamming ball is an initial segment of the
+its m and rejects members beyond it), and walk the covering-pair sweep of
+the census masks once: O(m * 2^m) whatever the distance, never a scan over
+pairs of members. A Hamming ball is an initial segment of the
 simplicial order, cut from one additive key without a sort, XOR-ed with its
 center; sets are built only at the public boundary. Binomial, cascade and
 shadow arithmetic is exact Python integers; cascade and shadow results are
@@ -82,28 +82,27 @@ def _mask_to_set(mask: np.ndarray) -> set[int]:
     return set(map(int, np.nonzero(mask)[0]))
 
 
-def _vector_distance(ball: np.ndarray, target: np.ndarray):
-    """system_distance of two equal-length bundle vectors."""
-    if not (ball.any() and target.any()):
+def _vector_distance(a: np.ndarray, b: np.ndarray):
+    """system_distance of two equal-length bundle vectors. Hamming distance
+    is a sum over items, so after item i each entry of `dist` is its exact
+    distance to `a` over items 0..i (int8, with a sentinel above MAX_ITEMS)."""
+    if not (a.any() and b.any()):
         return math.inf
-    radius = 0
-    while not np.any(ball & target):
-        grown = ball.copy()
-        for _, lo, hi, grown_lo, grown_hi in model._covering_halves(ball, grown):
-            grown_lo |= hi
-            grown_hi |= lo
-        ball = grown
-        radius += 1
-    return radius
+    far = np.int8(model.MAX_ITEMS + 1)
+    dist = np.where(a, np.int8(0), far)
+    for _, lo, hi in model._covering_halves(dist):
+        np.minimum(lo, hi + 1, out=lo)
+        np.minimum(hi, lo + 1, out=hi)
+    return int(np.min(dist, where=b, initial=far))
 
 
 def system_distance(system_a: Iterable[int], system_b: Iterable[int]):
     """Minimum Hamming distance across all pairs, one from each system.
 
     Empty systems have no pairs; the sentinel math.inf is returned so that
-    downstream minimum-distance requirements hold vacuously. Otherwise the
-    Hamming ball around `system_a` grows by one radius per covering sweep
-    until it meets `system_b`.
+    downstream minimum-distance requirements hold vacuously. Otherwise one
+    covering sweep gives every bundle its distance to `system_a`, whatever
+    the answer, and the least of them over `system_b` is returned.
 
     >>> system_distance({0b001}, {0b011, 0b100})
     1
@@ -135,10 +134,11 @@ def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
     >>> len(the_hamming_ball(5, 3, 3))
     8
     """
-    model._check_item_count(m, lo=0)
-    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= m:
+    m = model._check_item_count(m, lo=0)
+    radius = model._integer(r)
+    if radius is None or not 0 <= radius <= m:
         raise ValueError(f"radius must be in 0..{m}, got {r!r}")
-    return a_hamming_ball(center, sum(binom(m, t) for t in range(r + 1)), m)
+    return a_hamming_ball(center, sum(binom(m, t) for t in range(radius + 1)), m)
 
 
 def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
@@ -154,13 +154,14 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     >>> sorted(a_hamming_ball(0, 5, 3))
     [0, 1, 2, 3, 4]
     """
-    model._check_item_count(m, lo=0)
-    if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= 1 << m:
+    m = model._check_item_count(m, lo=0)
+    n = model._integer(size)
+    if n is None or not 1 <= n <= 1 << m:
         raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
     c = operator.index(center)
     if not 0 <= c < 1 << m:
         raise ValueError(f"center {center!r} out of range for m={m}")
-    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), size)) ^ c))
+    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), n)) ^ c))
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def verify_harper(system_a: Iterable[int], system_b: Iterable[int], m: int) -> H
     >>> verify_harper({0b111}, {0}, 3).ok
     True
     """
-    model._check_item_count(m, lo=0)
+    m = model._check_item_count(m, lo=0)
     vector_a, vector_b = _bundle_vectors(system_a, system_b, m=m)
     size_a, size_b = int(np.count_nonzero(vector_a)), int(np.count_nonzero(vector_b))
     if not size_a or not size_b:
@@ -324,7 +325,10 @@ def bjorner_feasible(counts: Sequence[int]) -> bool:
     >>> bjorner_feasible([0, 1, 1])
     False
     """
-    profile = [int(c) for c in counts]
+    counts = list(counts)
+    profile = [model._integer(c) for c in counts]
+    if None in profile:
+        raise ValueError(f"count {counts[profile.index(None)]!r} is not an integer")
     n = len(profile)
     if n < 1:
         raise ValueError("profile must cover sizes 1..n for some n >= 1")

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,10 +46,23 @@ class InstanceFormatError(ValueError):
 # bundles
 
 
-def _check_item_count(m, lo: int = 1) -> None:
-    """Raise ValueError unless m is an int, not a bool, in lo..MAX_ITEMS."""
-    if isinstance(m, bool) or not isinstance(m, int) or not lo <= m <= MAX_ITEMS:
+def _integer(x) -> int | None:
+    """x as an int when operator.index takes it and it is not a bool, else None."""
+    if isinstance(x, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _check_item_count(m, lo: int = 1) -> int:
+    """m as an int; ValueError unless it is an integer (see `_integer`) in
+    lo..MAX_ITEMS."""
+    n = _integer(m)
+    if n is None or not lo <= n <= MAX_ITEMS:
         raise ValueError(f"item count must be in {lo}..{MAX_ITEMS}, got {m!r}")
+    return n
 
 
 def full_bundle(m: int) -> int:
@@ -238,9 +250,11 @@ class Valuation:
     item_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_item_count(self.m)
-        if isinstance(self.denom, bool) or not isinstance(self.denom, int) or self.denom < 1:
+        object.__setattr__(self, "m", _check_item_count(self.m))
+        denom = _integer(self.denom)
+        if denom is None or denom < 1:
             raise ValueError(f"denominator must be a positive integer, got {self.denom!r}")
+        object.__setattr__(self, "denom", denom)
         table = _int64_numerators(self.table)
         if table.shape != (1 << self.m,):
             raise ValueError(
@@ -454,7 +468,7 @@ def random_monotone(m: int, seed: int) -> Valuation:
     maximum over subsets (one sweep per item) then makes the table
     monotone, and the empty bundle is pinned to 0.
     """
-    _check_item_count(m)
+    m = _check_item_count(m)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     # The int64 draw fixes the stream, and so every random table; values
     # below RANDOM_DENOM fit int32, so the table is narrowed before the sweep.
@@ -491,7 +505,7 @@ def tight_ef1_instance(m: int) -> Instance:
     >>> tight_ef1_instance(5).v1.item_values
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
     """
-    _check_item_count(m)
+    m = _check_item_count(m)
     values = [1] * m if m % 2 == 0 else [1] * (m - 1) + [0]
     v = make_additive(values)
     return Instance(v, v)
@@ -504,7 +518,7 @@ def tight_efx_instance(m: int) -> Instance:
     >>> tight_efx_instance(3).v1.item_values
     (Fraction(1, 1), Fraction(1, 1), Fraction(3, 1))
     """
-    _check_item_count(m)
+    m = _check_item_count(m)
     values = [1] * (m - 1) + [m]
     v = make_additive(values)
     return Instance(v, v)
@@ -549,8 +563,10 @@ def dumps_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path) -> None:
-    """Write the instance to `path` in the JSON instance format."""
-    Path(path).write_text(dumps_instance(inst), encoding="utf-8")
+    """Write the instance to `path` in the JSON instance format. The file
+    opens first, so a bad path fails before the table is encoded."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dumps_instance(inst))
 
 
 def _parse_table(raw: list) -> tuple[np.ndarray, int]:
@@ -619,5 +635,8 @@ def instance_from_dict(data) -> Instance:
 def load_instance(path) -> Instance:
     """Load an instance file; float literals are parsed as exact decimals."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f, parse_float=as_fraction)
+        try:
+            data = json.load(f, parse_float=as_fraction)
+        except RecursionError:
+            raise InstanceFormatError("JSON nests too deeply") from None
     return instance_from_dict(data)

@@ -117,6 +117,15 @@ def test_f_ef1_values():
         f_ef1(0)
 
 
+@pytest.mark.parametrize("bound", [f_ef1, s_max])
+def test_bounds_reject_bools_and_non_integers(bound):
+    for m in (True, False, 4.0, "4", None):
+        with pytest.raises(ValueError, match="item count must be a positive integer"):
+            bound(m)
+    assert bound(np.int64(30)) == bound(30)
+    assert bound(40) > 0  # no MAX_ITEMS cap: the bounds are closed forms
+
+
 def test_s_max_leaves_exactly_f_ef1_bundles():
     for m in range(1, 25):
         assert (1 << m) - 2 * s_max(m) == f_ef1(m)
@@ -219,6 +228,15 @@ def test_combine_single_list_partitions():
 def test_combine_empty_inputs():
     inst = tight_ef1_instance(2)
     assert combine_ef1_partitions(set(), set(), inst) == set()
+
+
+def test_combine_rejects_non_integer_representatives():
+    inst = tight_ef1_instance(2)
+    with pytest.raises(TypeError):
+        combine_ef1_partitions([1.7], [], inst)
+    with pytest.raises(TypeError):
+        combine_ef1_partitions([], [np.float64(1.0)], inst)
+    assert combine_ef1_partitions([np.int64(1)], [], inst) == combine_ef1_partitions([1], [], inst)
 
 
 def test_combine_rejects_invalid_partitions():

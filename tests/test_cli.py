@@ -259,6 +259,36 @@ def test_verify_usage_errors(capsys):
     assert exc.value.code == 1
 
 
+def test_gen_unwritable_output_exits_1(tmp_path, capsys):
+    bad = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "gen", "tight-ef1", "--m", "4", "--out", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"gen: error: cannot write {bad}: ") and err.count("\n") == 1
+
+
+def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monkeypatch):
+    import envy_census.cli as cli_module
+
+    def no_rows(task):
+        raise AssertionError("a row was computed before the output opened")
+
+    monkeypatch.setattr(cli_module, "_verify_row", no_rows)
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(
+            capsys, "verify", "--m-range", "2..3", "--trials", "2", "--out", str(bad)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"verify: error: cannot write {bad}: ") and err.count("\n") == 1
+
+
+def test_count_deeply_nested_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "count", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("count: invalid instance: ")
+
+
 def test_verify_failing_row_exits_3(capsys, monkeypatch):
     import envy_census.cli as cli_module
 

@@ -99,6 +99,51 @@ def test_system_distance_matches_oracle():
         assert system_distance(system_a, system_b) == min_cross_distance(system_a, system_b)
 
 
+def test_system_distance_of_single_bundles_is_their_hamming_distance():
+    """m = 9..16: the int8 walk is cut into columns for its narrow low items."""
+    rng = np.random.default_rng(41)
+    for m in range(9, 17):
+        for _ in range(6):
+            x, y = (int(v) for v in rng.integers(0, 1 << m, size=2))
+            x |= 1 << (m - 1)  # the least m holding both is m
+            assert system_distance({x}, {y}) == (x ^ y).bit_count()
+
+
+def test_system_distance_reaches_max_items():
+    """The largest distance, one below the walk's sentinel."""
+    assert system_distance({0}, {(1 << MAX_ITEMS) - 1}) == MAX_ITEMS
+
+
+def test_vector_distance_takes_reversed_views():
+    """verify_harper passes its ball around the full set as a reversed view."""
+    rng = np.random.default_rng(43)
+    for m in (3, 9, 12):
+        full = (1 << m) - 1
+        a = np.zeros(1 << m, dtype=bool)
+        b = np.zeros(1 << m, dtype=bool)
+        a[rng.integers(0, 1 << (m // 2), size=3)] = True
+        b[rng.integers(0, 1 << (m // 2), size=3)] = True
+        flipped = {full ^ int(x) for x in np.flatnonzero(a)}
+        expected = min_cross_distance(flipped, set(np.flatnonzero(b).tolist()))
+        assert combinatorics._vector_distance(a[::-1], b) == expected
+        assert combinatorics._vector_distance(b, a[::-1]) == expected
+
+
+def test_verify_harper_on_far_apart_systems():
+    m = 11
+    rng = np.random.default_rng(47)
+    light = [int(x) for x in range(1 << m) if int(x).bit_count() <= 2]
+    heavy = [int(x) for x in range(1 << m) if int(x).bit_count() >= m - 2]
+    system_a = set(rng.choice(heavy, size=20, replace=False).tolist())
+    system_b = set(rng.choice(light, size=30, replace=False).tolist())
+    report = verify_harper(system_a, system_b, m)
+    assert report.d_original == min_cross_distance(system_a, system_b) >= m - 4
+    ball_a = hamming_ball((1 << m) - 1, 20, m)
+    ball_b = hamming_ball(0, 30, m)
+    assert report.d_balls == min_cross_distance(ball_a, ball_b) == m - 4
+    assert report.ok
+
+
 def test_is_sperner_matches_oracle():
     outcomes = set()
     for pair in _system_pairs():
@@ -254,6 +299,16 @@ def test_a_hamming_ball_rejects_center_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_ball_arguments_take_numpy_integers():
+    assert a_hamming_ball(0, np.int64(5), np.int64(3)) == a_hamming_ball(0, 5, 3)
+    assert the_hamming_ball(0, np.uint8(1), np.int32(3)) == {0, 1, 2, 4}
+    report = verify_harper({0b111}, {0}, np.int64(3))
+    assert report == verify_harper({0b111}, {0}, 3)
+    for radius in (np.True_, np.float64(1.0)):
+        with pytest.raises(ValueError, match="radius"):
+            the_hamming_ball(0, radius, 3)
 
 
 def test_ball_sizes_and_radii_are_checked_before_allocating():
@@ -470,6 +525,13 @@ def test_bjorner_examples():
         bjorner_feasible([])
     with pytest.raises(ValueError):
         bjorner_feasible([-1, 1])
+
+
+def test_bjorner_rejects_non_integer_counts():
+    for counts in ([0, 1.9, 0], [True], [0, False, 1], [Fraction(1, 2)], ["1"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            bjorner_feasible(counts)
+    assert bjorner_feasible(np.array([0, 3, 0])) and bjorner_feasible([np.int8(1)])
 
 
 @pytest.mark.parametrize("n", [2, 3])

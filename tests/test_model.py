@@ -401,6 +401,18 @@ def test_bad_item_counts_are_rejected_before_any_work(call):
     assert time.perf_counter() - start < 0.1
 
 
+def test_item_counts_and_denominators_take_numpy_integers():
+    assert np.array_equal(random_monotone(np.int64(4), 1).table, random_monotone(4, 1).table)
+    inst = tight_ef1_instance(np.uint8(4))
+    assert dumps_instance(inst) == dumps_instance(tight_ef1_instance(4))
+    v = Valuation(np.int64(1), [0, 1], np.int64(2))
+    assert (type(v.m), type(v.denom)) == (int, int)
+    assert v.value(1) == Fraction(1, 2)
+    for denom in (True, 2.0, np.True_):
+        with pytest.raises(ValueError, match="denominator"):
+            Valuation(1, [0, 1], denom)
+
+
 def test_instance_requires_matching_m():
     with pytest.raises(ValueError):
         Instance(make_additive([1]), make_additive([1, 1]))
@@ -477,6 +489,22 @@ def test_instance_dict_roundtrip_float_values():
 def test_instance_from_dict_rejects_bad_schemas(data):
     with pytest.raises(InstanceFormatError):
         instance_from_dict(data)
+
+
+def test_save_instance_opens_its_path_before_encoding(tmp_path, monkeypatch):
+    def no_encoding(inst):
+        raise AssertionError("the instance was encoded before its path opened")
+
+    monkeypatch.setattr(model, "dumps_instance", no_encoding)
+    with pytest.raises(FileNotFoundError):
+        save_instance(tight_ef1_instance(2), tmp_path / "missing" / "x.json")
+
+
+def test_load_instance_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(InstanceFormatError, match="nests too deeply"):
+        load_instance(path)
 
 
 def test_instance_from_dict_names_offending_pair():
