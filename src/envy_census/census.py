@@ -11,6 +11,12 @@ complements, so counting allocations is a vectorized AND. Memory is O(2^m),
 which keeps m = 20+ tables practical. Results are exact and independent of
 traversal order.
 
+The counts and the class census take a leading batch axis: masks of shape
+(K, 2^m), one row per instance, reduced along the last axis. A census
+report is the batch of one, read from `[None]` views of the cached masks,
+and `_random_reports` runs K seeded random instances of one m through the
+same code, with one generation sweep and one sweep per mask for the batch.
+
 Every class count, list and check reads the bundle classes from
 `_bundle_classes`, and both constructions pair proposals in `_pairings`.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +37,22 @@ from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight
 # counting
 
 
+def _row_counts(masks: np.ndarray) -> np.ndarray:
+    """True entries per row of boolean masks, along the last axis. One whole
+    row per count_nonzero call: given an axis, numpy sums the row instead,
+    about seven times slower on a 2^22-entry row."""
+    rows = masks.reshape(-1, masks.shape[-1])
+    counts = np.fromiter(map(np.count_nonzero, rows), dtype=np.int64, count=len(rows))
+    return counts.reshape(masks.shape[:-1])
+
+
+def _pair_counts(masks_1: np.ndarray, masks_2: np.ndarray) -> np.ndarray:
+    """Per row of the leading axes: the ordered splits (M1, M2) with M1 in
+    masks_1 and M2 in masks_2, bundles along the last axis. Reversed,
+    masks_2 is indexed by complements."""
+    return _row_counts(masks_1 & masks_2[..., ::-1])
+
+
 def count_ef1_allocations(inst: Instance) -> int:
     """Exact number of ordered splits (M1, M2) that are EF1 allocations.
 
@@ -39,8 +61,7 @@ def count_ef1_allocations(inst: Instance) -> int:
     >>> count_ef1_allocations(tight_ef1_instance(5))
     12
     """
-    good = inst.v1.ef1_mask & inst.v2.ef1_mask[::-1]
-    return int(np.count_nonzero(good))
+    return int(_pair_counts(inst.v1.ef1_mask, inst.v2.ef1_mask))
 
 
 def count_efx_allocations(inst: Instance) -> int:
@@ -49,8 +70,7 @@ def count_efx_allocations(inst: Instance) -> int:
     >>> count_efx_allocations(tight_efx_instance(5))
     2
     """
-    good = inst.v1.efx_mask & inst.v2.efx_mask[::-1]
-    return int(np.count_nonzero(good))
+    return int(_pair_counts(inst.v1.efx_mask, inst.v2.efx_mask))
 
 
 def _positive_count(m) -> int:
@@ -101,11 +121,10 @@ class SetSystems(NamedTuple):
     good: set[int]
 
 
-def _bundle_classes(v: Valuation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(too_small, too_large, good): the three bundle classes of `v` as
-    boolean vectors over all 2^m bundles, read off its EF1 mask."""
-    ef1 = v.ef1_mask
-    good = ef1 & ef1[::-1]
+def _bundle_classes(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(too_small, too_large, good): the three bundle classes read off EF1
+    masks, as boolean arrays of their shape (bundles along the last axis)."""
+    good = ef1 & ef1[..., ::-1]
     return ~ef1, ef1 ^ good, good
 
 
@@ -116,7 +135,7 @@ def extract_set_systems(v: Valuation) -> SetSystems:
     >>> systems.too_small, systems.too_large, sorted(systems.good)
     ({0}, {3}, [1, 2])
     """
-    return SetSystems(*map(_mask_to_set, _bundle_classes(v)))
+    return SetSystems(*map(_mask_to_set, _bundle_classes(v.ef1_mask)))
 
 
 def verify_separation(v: Valuation) -> bool:
@@ -133,16 +152,17 @@ def verify_separation(v: Valuation) -> bool:
     across the classes therefore runs upward from a too-small bundle to a
     too-large one, and one sweep per item looks only in that direction.
     """
-    return _class_census(v)[2]
+    return bool(_class_census(v.ef1_mask)[2])
 
 
-def _class_census(v: Valuation) -> tuple[int, int, bool]:
-    """(too-small count, good count, verify_separation) of `v`, from one build
-    of its classes."""
-    too_small, too_large, good = _bundle_classes(v)
-    halves = model._covering_halves(too_small, too_large)
-    separated = not any(np.any(ts_lo & tl_hi) for _, ts_lo, _, _, tl_hi in halves)
-    return int(np.count_nonzero(too_small)), int(np.count_nonzero(good)), separated
+def _class_census(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(too-small count, good count, verify_separation) per row of EF1 masks
+    (bundles along the last axis), from one build of their classes."""
+    too_small, too_large, good = _bundle_classes(ef1)
+    crossing = np.zeros(ef1.shape[:-1], dtype=bool)
+    for _, ts_lo, _, _, tl_hi in model._covering_halves(too_small, too_large):
+        crossing |= np.any(ts_lo & tl_hi, axis=tuple(range(crossing.ndim, ts_lo.ndim)))
+    return _row_counts(too_small), _row_counts(good), ~crossing
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +180,7 @@ def list_ef1_partitions(v: Valuation) -> set[int]:
     >>> list_ef1_partitions(make_additive([1]))
     {0}
     """
-    good = _bundle_classes(v)[2]
+    good = _bundle_classes(v.ef1_mask)[2]
     return _mask_to_set(good[: good.size // 2])
 
 
@@ -202,7 +222,7 @@ def combine_ef1_partitions(
     p1 = set(map(operator.index, partitions_1))
     p2 = set(map(operator.index, partitions_2))
     for agent, (pset, v) in enumerate(((p1, inst.v1), (p2, inst.v2)), start=1):
-        good = _bundle_classes(v)[2]
+        good = _bundle_classes(v.ef1_mask)[2]
         for rep in pset:
             if not 0 <= rep < good.size // 2:
                 raise ValueError(
@@ -284,13 +304,47 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     allocation counts appear in the report: "ef1", "efx", or "both"."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
-    too_small_count, good_count, separated = zip(*map(_class_census, (inst.v1, inst.v2)))
-    return CensusReport(
-        m=inst.m,
-        bound=f_ef1(inst.m),
-        ef1_count=count_ef1_allocations(inst) if fairness_kind in ("ef1", "both") else None,
-        efx_count=count_efx_allocations(inst) if fairness_kind in ("efx", "both") else None,
-        good_count=good_count,
-        too_small_count=too_small_count,
-        separation_ok=all(separated),
-    )
+    agents = (inst.v1, inst.v2)
+    ef1 = [v.ef1_mask[None] for v in agents]
+    efx = [v.efx_mask[None] for v in agents] if fairness_kind != "ef1" else None
+    return _reports(inst.m, ef1, efx, fairness_kind)[0]
+
+
+def _random_reports(m: int, seeds: Sequence[int]) -> list[CensusReport]:
+    """census_report(random_instance(m, s)) for each row seed s, in order:
+    one generation sweep and one sweep per mask for the whole batch."""
+    agent_seeds = [model.derive_seed(s, agent) for agent in (1, 2) for s in seeds]
+    tables = model._random_tables(m, agent_seeds)
+    # Rows [0, K) are agent 1's tables, rows [K, 2K) agent 2's.
+    ef1 = model._ef1_masks(tables).reshape(2, len(seeds), -1)
+    efx = model._efx_masks(tables).reshape(2, len(seeds), -1)
+    return _reports(m, ef1, efx, "both")
+
+
+def _reports(m: int, ef1, efx, fairness_kind: str) -> list[CensusReport]:
+    """The census reports of K instances on m items from their agents'
+    masks: `ef1` and `efx` each hold agent 1's and agent 2's (K, 2^m) masks,
+    and `efx` is None when fairness_kind is "ef1"."""
+    (small_1, good_1, sep_1), (small_2, good_2, sep_2) = map(_class_census, ef1)
+    rows = len(small_1)
+    ef1_counts = _pair_counts(*ef1).tolist() if fairness_kind != "efx" else [None] * rows
+    efx_counts = _pair_counts(*efx).tolist() if fairness_kind != "ef1" else [None] * rows
+    bound = f_ef1(m)
+    return [
+        CensusReport(
+            m=m,
+            bound=bound,
+            ef1_count=ef1_count,
+            efx_count=efx_count,
+            good_count=good_count,
+            too_small_count=too_small_count,
+            separation_ok=separated,
+        )
+        for ef1_count, efx_count, good_count, too_small_count, separated in zip(
+            ef1_counts,
+            efx_counts,
+            zip(good_1.tolist(), good_2.tolist()),
+            zip(small_1.tolist(), small_2.tolist()),
+            (sep_1 & sep_2).tolist(),
+        )
+    ]

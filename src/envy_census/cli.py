@@ -37,6 +37,10 @@ CSV_COLUMNS = (
 
 GEN_KINDS = ("tight-ef1", "tight-efx", "additive", "random-monotone")
 
+# `verify` runs the rows of one m in batches whose tables, both agents'
+# together, hold at most this many entries: one row per batch from m = 15.
+VERIFY_BATCH_ENTRIES = 1 << 16
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this tool reserves 2 for
@@ -99,10 +103,14 @@ def _fmt_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _usage_error(command: str, message: str) -> int:
+    print(f"{command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cannot_write(command: str, path: str, exc: OSError) -> int:
     """Report an output path that cannot be opened for writing: a usage error."""
-    print(f"{command}: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_USAGE
+    return _usage_error(command, f"cannot write {path}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,23 +118,22 @@ def _cannot_write(command: str, path: str, exc: OSError) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.kind != "additive" and (args.values is not None or args.values2 is not None):
+        return _usage_error("gen", "--values and --values2 apply only to kind 'additive'")
     if args.kind == "tight-ef1":
         inst = model.tight_ef1_instance(args.m)
     elif args.kind == "tight-efx":
         inst = model.tight_efx_instance(args.m)
     elif args.kind == "additive":
         if args.values is None:
-            print("gen: error: --values is required for kind 'additive'", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("gen", "--values is required for kind 'additive'")
         values_2 = args.values2 if args.values2 is not None else args.values
         if len(args.values) != args.m or len(values_2) != args.m:
-            print(f"gen: error: expected {args.m} values per agent", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("gen", f"expected {args.m} values per agent")
         try:
             inst = model.Instance(model.make_additive(args.values), model.make_additive(values_2))
         except ValueError as exc:
-            print(f"gen: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("gen", str(exc))
     else:
         inst = model.random_instance(args.m, args.seed)
     if args.out:
@@ -144,13 +151,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.agent is not None and args.list is None:
+        return _usage_error("count", "--agent applies only with --list")
     try:
         inst = model.load_instance(args.instance)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"count: invalid instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.list is not None:
-        too_small, too_large, good = census._bundle_classes(inst.v1 if args.agent == 1 else inst.v2)
+        v = inst.v2 if args.agent == 2 else inst.v1
+        too_small, too_large, good = census._bundle_classes(v.ef1_mask)
         chosen = {
             "good": good,
             "too-small": too_small,
@@ -168,67 +178,81 @@ def _cmd_count(args) -> int:
 # verify
 
 
-def _verify_row(task: tuple[int, int]) -> tuple[tuple, bool]:
-    """The CSV fields (in CSV_COLUMNS order) of the census of one seeded random
-    instance, and whether it meets the guaranteed bounds."""
-    m, row_seed = task
+def _verify_batch(task: tuple[int, tuple[int, ...]]) -> list[tuple[tuple, bool]]:
+    """Per row seed of one m, in order: the CSV fields (in CSV_COLUMNS order)
+    of the census of its random instance, and whether it meets the
+    guaranteed bounds. Every row's elapsed_ms is the batch's time per row."""
+    m, row_seeds = task
     start = time.perf_counter()
-    report = census.census_report(model.random_instance(m, row_seed))
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    ef1_ok = report.ef1_count >= report.bound
-    efx_ok = report.efx_count >= 2
-    fields = (
-        m,
-        row_seed,
-        report.ef1_count,
-        report.efx_count,
-        report.bound,
-        _fmt_bool(ef1_ok),
-        _fmt_bool(efx_ok),
-        _fmt_bool(report.separation_ok),
-        elapsed_ms,
-    )
-    return fields, ef1_ok and efx_ok and report.separation_ok
+    reports = census._random_reports(m, row_seeds)
+    elapsed_ms = int(round((time.perf_counter() - start) * 1000 / len(row_seeds)))
+    rows = []
+    for row_seed, report in zip(row_seeds, reports):
+        ef1_ok = report.ef1_count >= report.bound
+        efx_ok = report.efx_count >= 2
+        fields = (
+            m,
+            row_seed,
+            report.ef1_count,
+            report.efx_count,
+            report.bound,
+            _fmt_bool(ef1_ok),
+            _fmt_bool(efx_ok),
+            _fmt_bool(report.separation_ok),
+            elapsed_ms,
+        )
+        rows.append((fields, ef1_ok and efx_ok and report.separation_ok))
+    return rows
 
 
 def _cmd_verify(args) -> int:
     lo, hi = args.m_range
     # Row seeds depend only on (master seed, m, trial index), so adding
     # trials or widening the range never reshuffles earlier rows.
-    tasks = [
-        (m, model.derive_seed(args.seed, m, trial))
-        for m in range(lo, hi + 1)
-        for trial in range(args.trials)
-    ]
+    batches = []
+    for m in range(lo, hi + 1):
+        seeds = [model.derive_seed(args.seed, m, trial) for trial in range(args.trials)]
+        size = max(1, VERIFY_BATCH_ENTRIES >> (m + 1))
+        batches += [(m, tuple(seeds[i : i + size])) for i in range(0, len(seeds), size)]
+    n_rows = (hi - lo + 1) * args.trials
     # The output opens first, so a bad path fails before any row is computed.
     try:
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     except OSError as exc:
         return _cannot_write("verify", args.out, exc)
     try:
-        # Rows keep task order whatever the worker count; the cap bounds the forks.
-        jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        start = time.perf_counter()
+        # Rows keep their order whatever the worker count; the cap bounds the forks.
+        jobs = min(args.jobs, n_rows, os.cpu_count() or 1)
         if jobs > 1:
-            chunk = max(1, len(tasks) // (jobs * 4))
+            chunk = max(1, len(batches) // (jobs * 4))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_verify_row, tasks, chunksize=chunk))
+                results = list(pool.map(_verify_batch, batches, chunksize=chunk))
         else:
-            rows = [_verify_row(task) for task in tasks]
+            results = [_verify_batch(batch) for batch in batches]
+        rows = [row for result in results for row in result]
+        rate = len(rows) / max(time.perf_counter() - start, 1e-9)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(fields for fields, _ in rows)
     finally:
         if args.out:
             out.close()
+    # fields: m, seed, ef1_count, efx_count, bound, ...
+    stats = (
+        f"{rate:.1f} rows/s, "
+        f"min ef1_count - bound {min(f[2] - f[4] for f, _ in rows)}, "
+        f"min efx_count {min(f[3] for f, _ in rows)}"
+    )
     failures = [fields for fields, ok in rows if not ok]
     if failures:
         seeds = ", ".join(f"m={fields[0]} seed={fields[1]}" for fields in failures)
         print(
-            f"verify: {len(failures)} of {len(rows)} rows failed; reproducers: {seeds}",
+            f"verify: {len(failures)} of {len(rows)} rows failed; reproducers: {seeds}; {stats}",
             file=sys.stderr,
         )
         return EXIT_ASSERTION
-    print(f"verify: {len(rows)} rows, all assertions hold", file=sys.stderr)
+    print(f"verify: {len(rows)} rows, all assertions hold; {stats}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -259,7 +283,7 @@ def _harper_systems(m: int, trial: int, trial_seed: int) -> tuple:
     """
     if trial % 2:
         inst = model.tight_ef1_instance(m) if trial == 1 else model.random_instance(m, trial_seed)
-        too_small, too_large, _ = census._bundle_classes(inst.v1)
+        too_small, too_large, _ = census._bundle_classes(inst.v1.ef1_mask)
         if too_small.any():  # too_large holds the complements, so it is nonempty too
             return np.flatnonzero(too_small), np.flatnonzero(too_large)
     rng = np.random.default_rng(trial_seed)
@@ -310,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("good", "too-small", "too-large", "ef1-partitions"),
         help="emit the chosen bundle list as newline-delimited integers instead of the JSON report",
     )
-    p.add_argument("--agent", type=int, choices=(1, 2), default=1, help="agent for --list")
+    p.add_argument("--agent", type=int, choices=(1, 2), help="agent for --list (default: 1)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="check guaranteed bounds on random instances")
     p.add_argument("--m-range", type=_m_range, required=True, metavar="A..B")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel row workers (default: 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default: 1)")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
 

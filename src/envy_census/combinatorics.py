@@ -85,9 +85,12 @@ def _mask_to_set(mask: np.ndarray) -> set[int]:
 def _vector_distance(a: np.ndarray, b: np.ndarray):
     """system_distance of two equal-length bundle vectors. Hamming distance
     is a sum over items, so after item i each entry of `dist` is its exact
-    distance to `a` over items 0..i (int8, with a sentinel above MAX_ITEMS)."""
+    distance to `a` over items 0..i (int8, with a sentinel above MAX_ITEMS).
+    Systems that share a bundle are at distance 0 without the walk."""
     if not (a.any() and b.any()):
         return math.inf
+    if (a & b).any():
+        return 0
     far = np.int8(model.MAX_ITEMS + 1)
     dist = np.where(a, np.int8(0), far)
     for _, lo, hi in model._covering_halves(dist):

@@ -131,36 +131,41 @@ def _covering_halves(*arrays: np.ndarray) -> Iterator[tuple]:
     the closure sweeps, whose updates compound over items (additive tables
     are built by doubling instead, see `_additive_table`).
 
-    The arrays are indexed by bundle, so each holds 2^m entries. For item i
-    this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with bit = 2^i: the two
-    halves of each array's reshape(-1, 2 * bit) view. hi_k[r, c] belongs to
-    the bundle of lo_k[r, c] plus item i, so over the m items every covering
-    pair appears exactly once. The halves are views: writing them writes the
-    arrays.
+    The arrays share one shape and are indexed by bundle along the last
+    axis, which holds 2^m entries; any leading axes are a batch of
+    independent lattices, walked together. For item i this yields
+    (bit, lo_1, hi_1, lo_2, hi_2, ...) with bit = 2^i: the two halves of the
+    last axis of each array's reshape(*lead, -1, 2 * bit) view. hi_k[..., r, c]
+    belongs to the bundle of lo_k[..., r, c] plus item i, so over the m items
+    every covering pair of every lattice appears exactly once. The halves
+    are views: writing them writes the arrays.
 
     numpy runs a ufunc's inner loop along the smallest stride, which in a
     half is one row: at most `bit` entries. So an item whose half-row is at
     most 8 bytes wide, in the widest array, yields instead one tuple per
-    column c < bit, holding the 1-D columns lo_k[:, c] and hi_k[:, c], and
-    every inner loop runs down the long axis. Each column costs the consumer
-    one more call, which pays only when it spares over a hundred short
-    loops: the columns are cut only when each holds at least 128 * bit
-    entries. Consumers that need the position of an entry rebuild it from
-    `bit`.
+    column c < bit, holding the columns lo_k[..., c] and hi_k[..., c] (1-D
+    for one lattice), and every inner loop runs down the long axis; in a
+    contiguous batch the lattices' columns join end to end into one loop.
+    Each column costs the consumer one more call, which pays only when it
+    spares over a hundred short loops: the columns are cut only when each
+    holds at least 128 * bit entries, over the whole batch. Consumers that
+    need the position of an entry rebuild it from `bit`.
     """
-    size = arrays[0].size
+    lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
+    entries = arrays[0].size
     width = max(a.itemsize for a in arrays)
     for i in range(size.bit_length() - 1):
         bit = 1 << i
-        views = [a.reshape(-1, 2 * bit) for a in arrays]
-        if bit * width > 8 or size < 256 * bit * bit:
+        shape = (*lead, -1, 2 * bit)
+        views = [a.reshape(shape) for a in arrays]
+        if bit * width > 8 or entries < 256 * bit * bit:
             cuts = [(slice(bit), slice(bit, None))]
         else:
             cuts = zip(range(bit), range(bit, 2 * bit))
         for lo, hi in cuts:
             halves: list = [bit]
             for view in views:
-                halves += (view[:, lo], view[:, hi])
+                halves += (view[..., lo], view[..., hi])
             yield tuple(halves)
 
 
@@ -292,38 +297,46 @@ class Valuation:
     @cached_property
     def ef1_mask(self) -> np.ndarray:
         """Read-only boolean vector over all bundles: entry b iff bundle b is
-        EF1 for this valuation.
-
-        A bundle is EF1 exactly when its value reaches min(complement's
-        value, complement's cheapest single-item removal): the threshold
-        starts from the table itself and the sweep takes in the removals.
-        """
-        return _removal_mask(self.table, self.table.copy(), np.minimum)
+        EF1 for this valuation (see `_ef1_masks`)."""
+        return _ef1_masks(self.table)
 
     @cached_property
     def efx_mask(self) -> np.ndarray:
         """Read-only boolean vector over all bundles: entry b iff bundle b is
-        EFX for this valuation.
-
-        EFX compares against the complement's costliest single-item removal,
-        so the threshold starts from 0: the full bundle passes vacuously, and
-        values are nonnegative.
-        """
-        return _removal_mask(self.table, np.zeros_like(self.table), np.maximum)
+        EFX for this valuation (see `_efx_masks`)."""
+        return _efx_masks(self.table)
 
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
 
 
+def _ef1_masks(tables: np.ndarray) -> np.ndarray:
+    """EF1 masks of tables indexed by bundle along the last axis (leading
+    axes are a batch). A bundle is EF1 exactly when its value reaches
+    min(complement's value, complement's cheapest single-item removal): the
+    threshold starts from the tables themselves and the sweep takes in the
+    removals."""
+    return _removal_mask(tables, tables.copy(), np.minimum)
+
+
+def _efx_masks(tables: np.ndarray) -> np.ndarray:
+    """EFX masks of tables indexed by bundle along the last axis (leading
+    axes are a batch). EFX compares against the complement's costliest
+    single-item removal, so the threshold starts from 0: the full bundle
+    passes vacuously, and values are nonnegative."""
+    return _removal_mask(tables, np.zeros_like(tables), np.maximum)
+
+
 def _removal_mask(t: np.ndarray, thresh: np.ndarray, reduce) -> np.ndarray:
-    """Read-only mask of bundles b with t[b] >= thresh[c], c = b's complement,
-    after one sweep folds t over one-item removals into `thresh` with
-    `reduce` (np.minimum or np.maximum). `thresh` is consumed: its seed is
-    the definition's value before any removal."""
+    """Read-only mask of bundles b with t[..., b] >= thresh[..., c], c = b's
+    complement, after one sweep folds t over one-item removals into
+    `thresh` with `reduce` (np.minimum or np.maximum). Bundles run along the
+    last axis, and each leading index is its own table. `thresh` is
+    consumed: its seed is the definition's value before any removal."""
     for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
         reduce(th_hi, t_lo, out=th_hi)
-    mask = t >= thresh[::-1]
+    mask = t >= thresh[..., ::-1]
     mask.setflags(write=False)
     return mask
 
@@ -461,6 +474,23 @@ def make_additive(item_values: Sequence) -> Valuation:
     return Valuation._trusted(m, table, denom, tuple(values))
 
 
+def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
+    """Random monotone tables over RANDOM_DENOM, one row per seed: row k is
+    the table of random_monotone(m, seeds[k]). Each row draws from its own
+    generator; one closure sweep then serves the whole batch."""
+    m = _check_item_count(m)
+    # The int64 draw fixes the stream, and so every random table; values
+    # below RANDOM_DENOM fit int32, so the rows are narrowed before the sweep.
+    tables = np.empty((len(seeds), 1 << m), dtype=_table_dtype(RANDOM_DENOM - 1))
+    for row, seed in zip(tables, seeds):
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        row[:] = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
+    for _, lo, hi in _covering_halves(tables):
+        np.maximum(hi, lo, out=hi)
+    tables[:, 0] = 0
+    return tables
+
+
 def random_monotone(m: int, seed: int) -> Valuation:
     """Random monotone valuation, deterministic in (m, seed).
 
@@ -469,15 +499,7 @@ def random_monotone(m: int, seed: int) -> Valuation:
     monotone, and the empty bundle is pinned to 0.
     """
     m = _check_item_count(m)
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    # The int64 draw fixes the stream, and so every random table; values
-    # below RANDOM_DENOM fit int32, so the table is narrowed before the sweep.
-    table = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
-    table = table.astype(_table_dtype(RANDOM_DENOM - 1))
-    for _, lo, hi in _covering_halves(table):
-        np.maximum(hi, lo, out=hi)
-    table[0] = 0
-    return Valuation._trusted(m, table, RANDOM_DENOM)
+    return Valuation._trusted(m, _random_tables(m, [seed])[0], RANDOM_DENOM)
 
 
 def derive_seed(*parts: int) -> int:

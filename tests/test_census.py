@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envy_census import census
 from envy_census import (
     Instance,
     Valuation,
@@ -18,6 +19,7 @@ from envy_census import (
     count_ef1_allocations,
     count_efx_allocations,
     cut_and_choose_efx,
+    derive_seed,
     dumps_instance,
     efx_partition,
     extract_set_systems,
@@ -352,6 +354,40 @@ def test_census_report_fairness_selection():
     assert census_report(inst, "efx").ef1_count is None
     with pytest.raises(ValueError):
         census_report(inst, "all")
+
+
+def test_census_report_ef1_leaves_the_efx_masks_unswept():
+    inst = random_instance(5, 8)
+    census_report(inst, "ef1")
+    assert "efx_mask" not in vars(inst.v1) and "efx_mask" not in vars(inst.v2)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_random_reports_equal_census_reports_field_by_field(m):
+    seeds = [derive_seed(4, m, trial) for trial in range(3 if m > 11 else 9)]
+    reports = census._random_reports(m, seeds)
+    assert reports == [census_report(random_instance(m, seed)) for seed in seeds]
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_class_census_flags_separation_per_row(m):
+    """Arbitrary masks, not EF1 masks of any valuation, so that some rows
+    fail the separation check and others pass, each on its own. On such
+    masks the check sees only upward covering steps from a too-small bundle
+    to a too-large one (see verify_separation)."""
+    masks = np.random.default_rng(m).random((40, 1 << m)) < 0.9
+    too_small_counts, good_counts, separated = census._class_census(masks)
+    assert 0 < separated.sum() < len(masks)
+    for row, too_small_count, good_count, ok in zip(masks, too_small_counts, good_counts, separated):
+        ef1 = set(np.flatnonzero(row).tolist())
+        full = (1 << m) - 1
+        too_small = set(range(1 << m)) - ef1
+        too_large = {b for b in ef1 if full ^ b not in ef1}
+        assert too_small_count == len(too_small)
+        assert good_count == len(ef1) - len(too_large)
+        upward = {b | 1 << i for b in too_small for i in range(m)}
+        assert ok == upward.isdisjoint(too_large)
+        assert census._class_census(row)[2] == ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envy_census import load_instance
+from envy_census import census_report, derive_seed, load_instance, random_instance
 from envy_census.cli import CSV_COLUMNS, main
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +73,28 @@ def test_gen_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "additive", "--m", "2", "--values", "inf,1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tight-ef1", "--m", "2", "--values", "1,2", "--values2", "3"),
+        ("tight-efx", "--m", "3", "--values", "1,2,3"),
+        ("random-monotone", "--m", "2", "--values2", "1,2"),
+    ],
+)
+def test_gen_refuses_value_lists_outside_additive(capsys, argv):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err == "gen: error: --values and --values2 apply only to kind 'additive'\n"
+
+
+@pytest.mark.parametrize("agent", ["1", "2"])
+def test_count_refuses_agent_without_list(capsys, agent):
+    path = DATA / "random_monotone_m4_seed1.json"
+    code, out, err = run_cli(capsys, "count", str(path), "--agent", agent)
+    assert code == 1 and out == ""
+    assert err == "count: error: --agent applies only with --list\n"
 
 
 def test_count_reports_tight_instances(tmp_path, capsys):
@@ -211,6 +234,67 @@ def test_verify_jobs_matches_serial(capsys, tmp_path):
     assert _strip_elapsed(serial.read_text()) == _strip_elapsed(parallel.read_text())
 
 
+def test_verify_jobs_matches_serial_on_every_batch_size(capsys):
+    argv = ("verify", "--m-range", "1..14", "--trials", "3", "--seed", "6")
+    _, serial, _ = run_cli(capsys, *argv)
+    code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert _strip_elapsed(parallel) == _strip_elapsed(serial)
+
+
+def test_verify_rows_are_census_reports_across_batch_boundaries(capsys, monkeypatch):
+    """70 trials at m = 10..12 fill whole batches and leave a short last
+    one per m; each row is still the census of its own random instance, and
+    shares its batch's elapsed_ms."""
+    import envy_census.cli as cli_module
+
+    batches = []
+    real = cli_module.census._random_reports
+
+    def recording(m, seeds):
+        batches.append((m, len(seeds)))
+        return real(m, seeds)
+
+    monkeypatch.setattr(cli_module.census, "_random_reports", recording)
+    code, out, _ = run_cli(capsys, "verify", "--m-range", "10..12", "--trials", "70", "--seed", "2")
+    assert code == 0
+    expected_batches = []
+    for m in (10, 11, 12):
+        size = cli_module.VERIFY_BATCH_ENTRIES >> (m + 1)
+        expected_batches += [(m, size)] * (70 // size) + [(m, 70 % size)]
+    assert batches == expected_batches and all(0 < k < 70 for _, k in batches)
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == 3 * 70
+    for i, row in enumerate(rows):
+        m, trial = 10 + i // 70, i % 70
+        seed = derive_seed(2, m, trial)
+        report = census_report(random_instance(m, seed))
+        assert row[:-1] == [
+            str(m), str(seed), str(report.ef1_count), str(report.efx_count),
+            str(report.bound), "true", "true", str(report.separation_ok).lower(),
+        ]
+    start = 0
+    for _, size in batches:
+        assert len({row[-1] for row in rows[start : start + size]}) == 1
+        start += size
+
+
+def test_verify_summary_matches_the_csv(capsys):
+    code, out, err = run_cli(capsys, "verify", "--m-range", "1..9", "--trials", "6", "--seed", "8")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    margin = min(int(row[2]) - int(row[4]) for row in rows)
+    efx = min(int(row[3]) for row in rows)
+    match = re.fullmatch(
+        r"verify: 54 rows, all assertions hold; ([0-9.]+) rows/s, "
+        r"min ef1_count - bound (-?\d+), min efx_count (\d+)\n",
+        err,
+    )
+    assert match is not None, err
+    assert float(match[1]) > 0
+    assert (int(match[2]), int(match[3])) == (margin, efx)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -272,7 +356,7 @@ def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monke
     def no_rows(task):
         raise AssertionError("a row was computed before the output opened")
 
-    monkeypatch.setattr(cli_module, "_verify_row", no_rows)
+    monkeypatch.setattr(cli_module, "_verify_batch", no_rows)
     for bad in (tmp_path / "missing" / "x.csv", tmp_path):
         code, out, err = run_cli(
             capsys, "verify", "--m-range", "2..3", "--trials", "2", "--out", str(bad)
@@ -292,13 +376,14 @@ def test_count_deeply_nested_file_exits_2(tmp_path, capsys):
 def test_verify_failing_row_exits_3(capsys, monkeypatch):
     import envy_census.cli as cli_module
 
-    def broken_efx(inst):
-        return 0
+    def broken_efx(tables):
+        return np.zeros(tables.shape, dtype=bool)
 
-    monkeypatch.setattr(cli_module.census, "count_efx_allocations", broken_efx)
+    monkeypatch.setattr(cli_module.model, "_efx_masks", broken_efx)
     code, out, err = run_cli(capsys, "verify", "--m-range", "2..2", "--trials", "2")
     assert code == 3
     assert "reproducers" in err and "seed=" in err
+    assert err.endswith(", min efx_count 0\n")
     rows = list(csv.reader(out.splitlines()))
     assert all(row[6] == "false" for row in rows[1:])
 

@@ -109,6 +109,19 @@ def test_system_distance_of_single_bundles_is_their_hamming_distance():
             assert system_distance({x}, {y}) == (x ^ y).bit_count()
 
 
+def test_system_distance_of_intersecting_systems_is_zero():
+    """Systems that share a bundle skip the walk; the answer is still the
+    oracle's 0, wherever the shared bundle sits."""
+    rng = np.random.default_rng(53)
+    for m in (9, 12, 16):
+        for _ in range(4):
+            system_a = set(rng.integers(0, 1 << m, size=30).tolist())
+            system_b = set(rng.integers(0, 1 << m, size=30).tolist())
+            system_b.add(int(rng.choice(sorted(system_a))))
+            assert system_distance(system_a, system_b) == 0
+            assert min_cross_distance(system_a, system_b) == 0
+
+
 def test_system_distance_reaches_max_items():
     """The largest distance, one below the walk's sentinel."""
     assert system_distance({0}, {(1 << MAX_ITEMS) - 1}) == MAX_ITEMS

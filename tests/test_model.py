@@ -186,6 +186,37 @@ def test_covering_halves_walk_narrow_low_items_by_column():
     assert column_bits(np.zeros(1 << 7, dtype=bool)) == []
 
 
+@pytest.mark.parametrize("rows, m, dtype", [(3, 8, np.int32), (4, 10, np.int16), (2, 12, np.int64)])
+def test_covering_halves_walk_a_batch_row_by_row(rows, m, dtype):
+    """On a (K, 2^m) batch every covering pair of every row appears exactly
+    once, and never across rows, through both cuts: the column rule counts
+    the entries of the whole batch."""
+    batch = np.arange(rows << m, dtype=dtype).reshape(rows, 1 << m)
+    pairs, cuts = [], set()
+    for bit, lo, hi in model._covering_halves(batch):
+        assert lo.shape[0] == hi.shape[0] == rows
+        cuts.add(lo.ndim)
+        pairs += zip(lo.ravel().tolist(), hi.ravel().tolist(), [bit] * lo.size)
+    # An entry's value is row * 2^m + bundle.
+    assert all(lo >> m == hi >> m for lo, hi, _ in pairs)
+    full = (1 << m) - 1
+    got = [(lo >> m, lo & full, hi & full, bit) for lo, hi, bit in pairs]
+    bits = [1 << i for i in range(m)]
+    expected = [
+        (k, b, b | bit, bit) for k in range(rows) for bit in bits for b in range(1 << m) if not b & bit
+    ]
+    assert sorted(got) == sorted(expected)
+    assert cuts == {2, 3}  # columns (K, rows) and halves (K, rows, bit)
+
+
+def test_covering_halves_cut_batch_columns_by_total_entries():
+    def column_bits(array):
+        return [bit for bit, lo, _ in model._covering_halves(array) if lo.ndim == array.ndim]
+
+    assert column_bits(np.zeros((4, 1 << 10), dtype=bool)) == column_bits(np.zeros(1 << 12, dtype=bool))
+    assert column_bits(np.zeros((1, 1 << 12), dtype=bool)) == [1, 2, 2, 4, 4, 4, 4]
+
+
 @pytest.mark.parametrize("m", [3, 8, 12])
 def test_covering_halves_walk_several_arrays_in_step(m):
     below, above = np.zeros((2, 1 << m), dtype=np.int8)
@@ -315,6 +346,34 @@ def test_random_monotone_is_reproducible():
     assert a.denom == b.denom
     c = random_monotone(6, 43)
     assert not np.array_equal(a.table, c.table)
+
+
+def _closure_table(m, seed):
+    """random_monotone's table built without the library's sweep: the same
+    int64 draw, narrowed to int32, then the running maximum over subsets
+    item by item through index arithmetic, and the empty bundle pinned to 0."""
+    draw = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF).integers(
+        0, model.RANDOM_DENOM, size=1 << m, dtype=np.int64
+    )
+    table = draw.astype(np.int32)
+    bundles = np.arange(1 << m)
+    for i in range(m):
+        with_item = bundles[bundles >> i & 1 == 1]
+        table[with_item] = np.maximum(table[with_item], table[with_item ^ (1 << i)])
+    table[0] = 0
+    return table
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 13])
+def test_random_tables_rows_are_random_monotone_tables(m):
+    seeds = [0, 7, 2**64 - 1, -3, derive_seed(1, m, 2)]
+    tables = model._random_tables(m, seeds)
+    assert tables.shape == (len(seeds), 1 << m) and tables.dtype == np.int32
+    for row, seed in zip(tables, seeds):
+        expected = _closure_table(m, seed)
+        assert row.dtype == expected.dtype and np.array_equal(row, expected)
+        table = random_monotone(m, seed).table
+        assert table.dtype == np.int32 and np.array_equal(table, expected)
 
 
 def test_random_monotone_passes_checks():
