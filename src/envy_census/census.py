@@ -219,18 +219,34 @@ def combine_ef1_partitions(
     representative). The result therefore has exactly
     len(partitions_1) + len(partitions_2) allocations, all EF1.
     """
-    p1 = set(map(operator.index, partitions_1))
-    p2 = set(map(operator.index, partitions_2))
+    p1, p2 = map(_representatives, (partitions_1, partitions_2))
     for agent, (pset, v) in enumerate(((p1, inst.v1), (p2, inst.v2)), start=1):
+        # One array check in set order: the range, then one lookup of the good class.
+        reps = list(pset)
+        try:
+            arr = np.array(reps, dtype=np.int64)
+        except OverflowError:  # some representative is beyond int64: compare exactly
+            arr = np.array(reps, dtype=object)
         good = _bundle_classes(v.ef1_mask)[2]
-        for rep in pset:
-            if not 0 <= rep < good.size // 2:
+        canonical = (arr >= 0) & (arr < good.size // 2)
+        ok = canonical & good[np.where(canonical, arr, 0).astype(np.int64)]
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not canonical[i]:
                 raise ValueError(
-                    f"{rep} is not a canonical partition representative for m={inst.m}"
+                    f"{reps[i]} is not a canonical partition representative for m={inst.m}"
                 )
-            if not good[rep]:
-                raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
+            raise ValueError(f"partition {reps[i]} is not EF1 for agent {agent}")
     return set(_pairings(inst, p1, p2))
+
+
+def _representatives(partitions: Iterable[int]) -> set[int]:
+    """Partition representatives as a set of ints: TypeError unless
+    operator.index takes each, ValueError for a bool."""
+    raw = list(partitions)
+    if not {bool, np.bool_}.isdisjoint(map(type, raw)):
+        raise ValueError("a bool is not a canonical partition representative")
+    return set(map(operator.index, raw))
 
 
 def efx_partition(v: Valuation) -> tuple[int, int]:

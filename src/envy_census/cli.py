@@ -214,7 +214,6 @@ def _cmd_verify(args) -> int:
         seeds = [model.derive_seed(args.seed, m, trial) for trial in range(args.trials)]
         size = max(1, VERIFY_BATCH_ENTRIES >> (m + 1))
         batches += [(m, tuple(seeds[i : i + size])) for i in range(0, len(seeds), size)]
-    n_rows = (hi - lo + 1) * args.trials
     # The output opens first, so a bad path fails before any row is computed.
     try:
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
@@ -223,7 +222,7 @@ def _cmd_verify(args) -> int:
     try:
         start = time.perf_counter()
         # Rows keep their order whatever the worker count; the cap bounds the forks.
-        jobs = min(args.jobs, n_rows, os.cpu_count() or 1)
+        jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
         if jobs > 1:
             chunk = max(1, len(batches) // (jobs * 4))
             with ProcessPoolExecutor(max_workers=jobs) as pool:

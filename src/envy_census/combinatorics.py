@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -50,7 +49,7 @@ def hamming_distance(a: int, b: int) -> int:
     >>> hamming_distance(5, 5)
     0
     """
-    return (int(a) ^ int(b)).bit_count()
+    return (model._bundle(a) ^ model._bundle(b)).bit_count()
 
 
 def _bundle_vectors(*systems: Iterable[int], m: int | None = None) -> list[np.ndarray]:
@@ -79,7 +78,7 @@ def _bundle_vectors(*systems: Iterable[int], m: int | None = None) -> list[np.nd
 
 def _mask_to_set(mask: np.ndarray) -> set[int]:
     """The bundles marked in a boolean vector, as a set of bundle masks."""
-    return set(map(int, np.nonzero(mask)[0]))
+    return set(np.flatnonzero(mask).tolist())
 
 
 def _vector_distance(a: np.ndarray, b: np.ndarray):
@@ -161,10 +160,8 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     n = model._integer(size)
     if n is None or not 1 <= n <= 1 << m:
         raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
-    c = operator.index(center)
-    if not 0 <= c < 1 << m:
-        raise ValueError(f"center {center!r} out of range for m={m}")
-    return set(map(int, np.flatnonzero(_segment(_simplicial_key(m), n)) ^ c))
+    c = model._bundle(center, m, "center")
+    return set((np.flatnonzero(_segment(_simplicial_key(m), n)) ^ c).tolist())
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def _largest_binom_at_most(limit: int, k: int) -> tuple[int, int]:
     return lo, binom(lo, k)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def cascade_decompose(n: int, k: int) -> Cascade:
     """The unique cascade decomposition of n starting at level k, built
     greedily from the largest feasible top coefficient.
@@ -255,10 +252,10 @@ def cascade_decompose(n: int, k: int) -> Cascade:
     >>> cascade_decompose(1, 5).terms
     ((5, 5),)
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"cascade needs positive n and k, got ({n}, {k})")
+    rem, level = model._integer(n), model._integer(k)
+    if rem is None or level is None or rem < 1 or level < 1:
+        raise ValueError(f"cascade needs positive integers n and k, got ({n!r}, {k!r})")
     terms = []
-    rem, level = n, k
     while rem:
         a, c = _largest_binom_at_most(rem, level)
         terms.append((a, level))
@@ -267,7 +264,7 @@ def cascade_decompose(n: int, k: int) -> Cascade:
     return Cascade(tuple(terms))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def shadow(n: int, k: int) -> int:
     """Lower-shadow size bound one level below k: each cascade term C(a, t)
     of n at level k drops to C(a, t-1); zero input gives zero.
@@ -279,11 +276,12 @@ def shadow(n: int, k: int) -> int:
     >>> shadow(10, 3)
     10
     """
-    if n < 0 or k < 1:
-        raise ValueError(f"shadow needs n >= 0 and k >= 1, got ({n}, {k})")
-    if n == 0:
+    count, level = model._integer(n), model._integer(k)
+    if count is None or level is None or count < 0 or level < 1:
+        raise ValueError(f"shadow needs integers n >= 0 and k >= 1, got ({n!r}, {k!r})")
+    if count == 0:
         return 0
-    return sum(binom(a, t - 1) for a, t in cascade_decompose(n, k).terms)
+    return sum(binom(a, t - 1) for a, t in cascade_decompose(count, level).terms)
 
 
 def shadow_is_monotone(k: int, n_max: int) -> bool:

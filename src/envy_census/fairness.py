@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Instance, Valuation, _checked_bundle, complement, make_additive
+from .model import Instance, Valuation, _bundle, complement, make_additive
 
 
 class BundleClass(Enum):
@@ -33,7 +33,7 @@ def is_ef1_bundle(v: Valuation, bundle: int) -> bool:
     >>> is_ef1_bundle(make_additive([1, 1, 1, 1]), 0b0001)
     False
     """
-    return bool(v.ef1_mask[_checked_bundle(v, bundle)])
+    return bool(v.ef1_mask[_bundle(bundle, v.m)])
 
 
 def is_efx_bundle(v: Valuation, bundle: int) -> bool:
@@ -45,19 +45,19 @@ def is_efx_bundle(v: Valuation, bundle: int) -> bool:
     >>> is_efx_bundle(make_additive([1, 1, 3]), 0b001)
     False
     """
-    return bool(v.efx_mask[_checked_bundle(v, bundle)])
+    return bool(v.efx_mask[_bundle(bundle, v.m)])
 
 
 def is_ef1_allocation(inst: Instance, bundle_1: int) -> bool:
     """True iff giving `bundle_1` to agent 1 and the rest to agent 2 leaves
     each agent's own bundle EF1 under their own valuation."""
-    b = _checked_bundle(inst.v1, bundle_1)
+    b = _bundle(bundle_1, inst.m)
     return is_ef1_bundle(inst.v1, b) and is_ef1_bundle(inst.v2, complement(b, inst.m))
 
 
 def is_efx_allocation(inst: Instance, bundle_1: int) -> bool:
     """Like is_ef1_allocation, with the EFX predicate per agent."""
-    b = _checked_bundle(inst.v1, bundle_1)
+    b = _bundle(bundle_1, inst.m)
     return is_efx_bundle(inst.v1, b) and is_efx_bundle(inst.v2, complement(b, inst.m))
 
 
@@ -72,7 +72,7 @@ def classify_bundle(v: Valuation, bundle: int) -> BundleClass:
     >>> classify_bundle(v, 0b0111).value
     'too-large'
     """
-    b = _checked_bundle(v, bundle)
+    b = _bundle(bundle, v.m)
     ef1 = v.ef1_mask
     if not ef1[b]:
         return BundleClass.TOO_SMALL

@@ -56,6 +56,14 @@ def _integer(x) -> int | None:
         return None
 
 
+def _bundle(x, m: int = MAX_ITEMS, what: str = "bundle") -> int:
+    """x as an int: TypeError unless operator.index takes it, ValueError
+    for a bool or anything outside [0, 2^m). `what` names x in the error."""
+    if isinstance(x, (bool, np.bool_)) or not 0 <= (b := operator.index(x)) < 1 << m:
+        raise ValueError(f"{what} must be in 0..2^{m}-1, got {x!r}")
+    return b
+
+
 def _check_item_count(m, lo: int = 1) -> int:
     """m as an int; ValueError unless it is an integer (see `_integer`) in
     lo..MAX_ITEMS."""
@@ -82,12 +90,13 @@ def complement(bundle: int, m: int) -> int:
     >>> complement(complement(6, 4), 4)
     6
     """
-    return bundle ^ full_bundle(m)
+    m = _check_item_count(m)
+    return _bundle(bundle, m) ^ full_bundle(m)
 
 
 def bundle_size(bundle: int) -> int:
     """Number of items in the bundle."""
-    return int(bundle).bit_count()
+    return _bundle(bundle).bit_count()
 
 
 def bundle_of(items: Iterable[int]) -> int:
@@ -108,11 +117,8 @@ def iter_items(bundle: int) -> Iterator[int]:
     >>> list(iter_items(0b1101))
     [0, 2, 3]
     """
-    b = int(bundle)
-    while b:
-        low = b & -b
-        yield low.bit_length() - 1
-        b ^= low
+    b = _bundle(bundle)
+    return (i for i in range(b.bit_length()) if b >> i & 1)
 
 
 def _additive_table(weights: Sequence[int], base: int, dtype) -> np.ndarray:
@@ -292,7 +298,7 @@ class Valuation:
         >>> print(v.value(0b011), v.value(0), v.value(0b111))
         2 0 5
         """
-        return Fraction(int(self.table[_checked_bundle(self, bundle)]), self.denom)
+        return Fraction(int(self.table[_bundle(bundle, self.m)]), self.denom)
 
     @cached_property
     def ef1_mask(self) -> np.ndarray:
@@ -364,13 +370,6 @@ def _table_dtype(top: int) -> type:
     """int32 when a monotone table's largest numerator `top` (the full
     bundle's) fits, else int64: O(1), as the table has no larger entry."""
     return np.int32 if top <= _INT32_MAX else np.int64
-
-
-def _checked_bundle(v: Valuation, bundle: int) -> int:
-    b = operator.index(bundle)
-    if not 0 <= b < (1 << v.m):
-        raise ValueError(f"invalid bundle {bundle!r} for m={v.m}")
-    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,14 +498,22 @@ def random_monotone(m: int, seed: int) -> Valuation:
     monotone, and the empty bundle is pinned to 0.
     """
     m = _check_item_count(m)
-    return Valuation._trusted(m, _random_tables(m, [seed])[0], RANDOM_DENOM)
+    return Valuation._trusted(m, _random_tables(m, [_seed(seed)])[0], RANDOM_DENOM)
+
+
+def _seed(x) -> int:
+    """x as an int; ValueError unless it is an integer (see `_integer`)."""
+    n = _integer(x)
+    if n is None:
+        raise ValueError(f"seed must be an integer, got {x!r}")
+    return n
 
 
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit seed from integer parts (hash-independent across runs)."""
     h = hashlib.blake2b(digest_size=8)
     for p in parts:
-        h.update(int(p).to_bytes(16, "little", signed=True))
+        h.update(_seed(p).to_bytes(16, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
 
 

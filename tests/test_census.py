@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from functools import cached_property
 
 import numpy as np
@@ -12,6 +13,7 @@ from envy_census import census
 from envy_census import (
     Instance,
     Valuation,
+    a_hamming_ball,
     census_report,
     classify_bundle,
     combine_ef1_partitions,
@@ -248,6 +250,62 @@ def test_combine_rejects_invalid_partitions():
         combine_ef1_partitions({0}, set(), inst)  # {∅, M} is not EF1 for (1,1)
     with pytest.raises(ValueError, match="canonical"):
         combine_ef1_partitions({0b10}, set(), inst)  # contains item m-1
+
+
+def test_combine_rejects_bools_and_huge_representatives():
+    inst = tight_ef1_instance(2)
+    for bad in ([True], [np.True_], [1, False]):
+        with pytest.raises(ValueError, match="canonical"):
+            combine_ef1_partitions(bad, [], inst)
+        with pytest.raises(ValueError, match="canonical"):
+            combine_ef1_partitions([], bad, inst)
+    for huge in (2**70, -(2**70), 2**63):
+        with pytest.raises(ValueError, match="canonical"):
+            combine_ef1_partitions([huge], [], inst)
+        with pytest.raises(ValueError, match="canonical"):
+            combine_ef1_partitions([1], [1, huge], inst)
+
+
+def _first_bad_representative(inst, partitions_1, partitions_2):
+    """The error message of checking each representative in turn: agent 1's
+    in set order, then agent 2's; None when all are canonical and EF1."""
+    half = 1 << (inst.m - 1)
+    for agent, (reps, v) in enumerate(((set(partitions_1), inst.v1), (set(partitions_2), inst.v2)), 1):
+        for rep in reps:
+            if not 0 <= rep < half:
+                return f"{rep} is not a canonical partition representative for m={inst.m}"
+            if classify_bundle(v, rep).value != "good":
+                return f"partition {rep} is not EF1 for agent {agent}"
+    return None
+
+
+def test_combine_names_the_first_bad_representative():
+    pair = make_additive([1, 1])
+    with pytest.raises(ValueError, match=r"^partition 0 is not EF1 for agent 1$"):
+        combine_ef1_partitions({0, 2}, set(), Instance(pair, pair))
+    rng = np.random.default_rng(5)
+    pool = [-(2**70), -3, -1, 2**40, 2**64, 2**70]
+    for seed in range(40):
+        inst = random_instance(4, seed)
+        good = [sorted(list_ef1_partitions(v)) for v in (inst.v1, inst.v2)]
+        lists = []
+        for agent in range(2):
+            reps = list(rng.choice(good[agent], size=2)) + list(rng.integers(-2, 10, size=2))
+            reps += [pool[i] for i in rng.choice(len(pool), size=seed % 3)]
+            lists.append(reps if rng.random() < 0.7 else good[agent])
+        expected = _first_bad_representative(inst, *lists)
+        if expected is None:
+            assert len(combine_ef1_partitions(*lists, inst)) == len(set(lists[0])) + len(set(lists[1]))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                combine_ef1_partitions(*lists, inst)
+
+
+def test_bundle_sets_hold_python_ints():
+    inst = random_instance(6, 2)
+    sets = [*extract_set_systems(inst.v1), list_ef1_partitions(inst.v2), a_hamming_ball(5, 20, 6)]
+    for members in sets:
+        assert members and {type(x) for x in members} == {int}
 
 
 def test_combine_output_size_and_soundness_on_random_instances():

@@ -494,6 +494,21 @@ def test_shadow_examples():
         shadow(3, 0)
 
 
+def test_cascade_and_shadow_take_integers_only():
+    assert shadow(4, 3) == 6 and str(cascade_decompose(8, 3)) == "C(4,3)+C(3,2)+C(1,1)"
+    # typed caches: a float or a bool never reads an int's cache entry
+    for n, k in ((4.0, 3), (4, 3.0), (True, 1), (1, True), (np.True_, 1), (2.5, 3), ("4", 3)):
+        with pytest.raises(ValueError, match="shadow"):
+            shadow(n, k)
+    for n, k in ((8.0, 3), (8, 3.0), (True, 1), (1, True), (2.5, 3), (None, 3)):
+        with pytest.raises(ValueError, match="cascade"):
+            cascade_decompose(n, k)
+    assert shadow(np.int64(4), np.uint8(3)) == 6
+    terms = cascade_decompose(np.int64(8), np.int32(3)).terms
+    assert terms == cascade_decompose(8, 3).terms
+    assert {type(x) for term in terms for x in term} == {int}
+
+
 def test_shadow_monotone():
     assert shadow_is_monotone(3, 1000)
     assert shadow_is_monotone(1, 100)

@@ -18,19 +18,27 @@ from envy_census import (
     Valuation,
     a_hamming_ball,
     bundle_of,
+    bundle_size,
     as_fraction,
     check_monotone,
+    classify_bundle,
     complement,
     derive_seed,
     dumps_instance,
+    hamming_distance,
     instance_from_dict,
     instance_to_dict,
+    is_ef1_allocation,
+    is_ef1_bundle,
+    is_efx_allocation,
+    is_efx_bundle,
     iter_items,
     load_instance,
     make_additive,
     random_instance,
     random_monotone,
     save_instance,
+    the_hamming_ball,
     tight_ef1_instance,
     tight_efx_instance,
 )
@@ -67,6 +75,54 @@ def test_value_rejects_out_of_range_bundles():
         v.value(-1)
     with pytest.raises(TypeError):
         v.value(1.5)
+
+
+_V = make_additive([1, 1, 3])
+_PAIR = Instance(_V, _V)
+
+# Every public function that takes a bundle: (call with the bundle, m).
+# Functions without an m take bundles of MAX_ITEMS items.
+BUNDLE_CALLS = {
+    "Valuation.value": (_V.value, 3),
+    "complement": (lambda b: complement(b, 3), 3),
+    "bundle_size": (bundle_size, MAX_ITEMS),
+    "iter_items": (lambda b: next(iter_items(b), None), MAX_ITEMS),
+    "hamming_distance-first": (lambda b: hamming_distance(b, 0), MAX_ITEMS),
+    "hamming_distance-second": (lambda b: hamming_distance(0, b), MAX_ITEMS),
+    "is_ef1_bundle": (lambda b: is_ef1_bundle(_V, b), 3),
+    "is_efx_bundle": (lambda b: is_efx_bundle(_V, b), 3),
+    "is_ef1_allocation": (lambda b: is_ef1_allocation(_PAIR, b), 3),
+    "is_efx_allocation": (lambda b: is_efx_allocation(_PAIR, b), 3),
+    "classify_bundle": (lambda b: classify_bundle(_V, b), 3),
+    "a_hamming_ball": (lambda b: a_hamming_ball(b, 2, 3), 3),
+    "the_hamming_ball": (lambda b: the_hamming_ball(b, 1, 3), 3),
+}
+
+
+@pytest.mark.parametrize("call, m", BUNDLE_CALLS.values(), ids=BUNDLE_CALLS.keys())
+def test_every_bundle_argument_is_checked(call, m):
+    """A bool or a bundle outside [0, 2^m) raises ValueError, a non-integer
+    TypeError; numpy integers are taken as their values."""
+    for bad in (True, np.True_, -1, 1 << m):
+        with pytest.raises(ValueError):
+            call(bad)
+    with pytest.raises(TypeError):
+        call(1.5)
+    top = (1 << m) - 1
+    assert call(np.int64(top)) == call(np.uint32(top)) == call(top)
+
+
+def test_bundle_helpers_examples():
+    assert complement(8, 4) == 7
+    assert bundle_size(0b1011) == 3 and bundle_size(0) == 0
+    assert list(iter_items(0)) == [] and list(iter_items((1 << MAX_ITEMS) - 1)) == list(range(24))
+    assert hamming_distance((1 << MAX_ITEMS) - 1, 0) == MAX_ITEMS
+    with pytest.raises(ValueError):
+        complement(8, 3)
+    with pytest.raises(ValueError):
+        complement(1, 0)
+    with pytest.raises(ValueError):
+        the_hamming_ball(True, 1, 2)
 
 
 def test_make_additive_tables():
@@ -475,6 +531,20 @@ def test_item_counts_and_denominators_take_numpy_integers():
 def test_instance_requires_matching_m():
     with pytest.raises(ValueError):
         Instance(make_additive([1]), make_additive([1, 1]))
+
+
+def test_seeds_are_integers():
+    assert derive_seed(np.int64(3), np.uint8(1)) == derive_seed(3, 1)
+    assert np.array_equal(random_monotone(4, np.int64(-7)).table, random_monotone(4, -7).table)
+    for bad in (1.5, True, np.True_, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            derive_seed(bad)
+        with pytest.raises(ValueError, match="seed"):
+            derive_seed(1, bad)
+        with pytest.raises(ValueError, match="seed"):
+            random_monotone(4, bad)
+        with pytest.raises(ValueError, match="seed"):
+            random_instance(4, bad)
 
 
 def test_derive_seed_stability():
