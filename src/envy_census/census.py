@@ -22,7 +22,6 @@ Every class count, list and check reads the bundle classes from
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -73,14 +72,6 @@ def count_efx_allocations(inst: Instance) -> int:
     return int(_pair_counts(inst.v1.efx_mask, inst.v2.efx_mask))
 
 
-def _positive_count(m) -> int:
-    """m as an int; ValueError unless it is a positive integer (any size)."""
-    n = model._integer(m)
-    if n is None or n < 1:
-        raise ValueError(f"item count must be a positive integer, got {m!r}")
-    return n
-
-
 def f_ef1(m: int) -> int:
     """Tight lower bound on the EF1 allocation count for m items:
     C(m, m/2) for even m, 2*C(m-1, (m-1)/2) for odd m.
@@ -88,7 +79,7 @@ def f_ef1(m: int) -> int:
     >>> f_ef1(4), f_ef1(5), f_ef1(1)
     (6, 12, 2)
     """
-    m = _positive_count(m)
+    m = model._int_in(m, 1, None, "item count")
     if m % 2 == 0:
         return binom(m, m // 2)
     return 2 * binom(m - 1, (m - 1) // 2)
@@ -103,7 +94,7 @@ def s_max(m: int) -> int:
     >>> s_max(4), s_max(5), s_max(1)
     (5, 10, 0)
     """
-    m = _positive_count(m)
+    m = model._int_in(m, 1, None, "item count")
     k = m // 2
     s = sum(binom(m, t) for t in range(k))
     return s if m % 2 == 0 or not k else s + binom(m - 1, k - 1)
@@ -219,34 +210,23 @@ def combine_ef1_partitions(
     representative). The result therefore has exactly
     len(partitions_1) + len(partitions_2) allocations, all EF1.
     """
-    p1, p2 = map(_representatives, (partitions_1, partitions_2))
-    for agent, (pset, v) in enumerate(((p1, inst.v1), (p2, inst.v2)), start=1):
-        # One array check in set order: the range, then one lookup of the good class.
-        reps = list(pset)
-        try:
-            arr = np.array(reps, dtype=np.int64)
-        except OverflowError:  # some representative is beyond int64: compare exactly
-            arr = np.array(reps, dtype=object)
+    what = "canonical partition representative"
+    arrays = [model._bundle_array(p, what) for p in (partitions_1, partitions_2)]
+    p1, p2 = (set(arr.tolist()) for arr in arrays)
+    for agent, (arr, pset, v) in enumerate(zip(arrays, (p1, p2), (inst.v1, inst.v2)), start=1):
+        # One array check: the range, then one lookup of the good class.
         good = _bundle_classes(v.ef1_mask)[2]
-        canonical = (arr >= 0) & (arr < good.size // 2)
+        half = good.size // 2
+        canonical = (arr >= 0) & (arr < half)
         ok = canonical & good[np.where(canonical, arr, 0).astype(np.int64)]
         if not ok.all():
-            i = int(np.argmin(ok))
-            if not canonical[i]:
-                raise ValueError(
-                    f"{reps[i]} is not a canonical partition representative for m={inst.m}"
-                )
-            raise ValueError(f"partition {reps[i]} is not EF1 for agent {agent}")
+            # Name the first bad representative in set order.
+            bad = set(arr[~ok].tolist())
+            rep = next(rep for rep in pset if rep in bad)
+            if not 0 <= rep < half:
+                raise ValueError(f"{rep} is not a {what} for m={inst.m}")
+            raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
     return set(_pairings(inst, p1, p2))
-
-
-def _representatives(partitions: Iterable[int]) -> set[int]:
-    """Partition representatives as a set of ints: TypeError unless
-    operator.index takes each, ValueError for a bool."""
-    raw = list(partitions)
-    if not {bool, np.bool_}.isdisjoint(map(type, raw)):
-        raise ValueError("a bool is not a canonical partition representative")
-    return set(map(operator.index, raw))
 
 
 def efx_partition(v: Valuation) -> tuple[int, int]:

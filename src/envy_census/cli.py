@@ -70,8 +70,7 @@ def _bounded_int(lo: int, hi: int | None = None):
 
 
 _positive_int = _bounded_int(1)
-# derive_seed encodes every seed in 16 signed bytes.
-_seed = _bounded_int(-(1 << 127), (1 << 127) - 1)
+_seed = _bounded_int(model.MIN_SEED, model.MAX_SEED)
 
 
 def _m_range(text: str) -> tuple[int, int]:

@@ -54,15 +54,10 @@ def hamming_distance(a: int, b: int) -> int:
 
 def _bundle_vectors(*systems: Iterable[int], m: int | None = None) -> list[np.ndarray]:
     """Each system as a boolean vector over the 2^m bundles; without m, for
-    the least m that holds every member of every system. Members convert as
-    int() does; the first one outside [0, 2^m) (without m, [0, 2^MAX_ITEMS))
-    raises ValueError."""
-    members = [list(system) for system in systems]
-    try:
-        arrays = [np.array(system, dtype=np.int64) for system in members]
-    except OverflowError:
-        # Some member is outside int64: compare exact ints to name the first bad one.
-        arrays = [np.array([int(x) for x in system], dtype=object) for system in members]
+    the least m that holds every member of every system. Members follow
+    `model._bundle_array`'s rule, and the first one outside [0, 2^m)
+    (without m, [0, 2^MAX_ITEMS)) raises ValueError."""
+    arrays = [model._bundle_array(system) for system in systems]
     flat = np.concatenate(arrays)
     top = model.MAX_ITEMS if m is None else m
     bad = (flat < 0) | (flat >= 1 << top)
@@ -137,9 +132,7 @@ def the_hamming_ball(center: int, r: int, m: int) -> set[int]:
     8
     """
     m = model._check_item_count(m, lo=0)
-    radius = model._integer(r)
-    if radius is None or not 0 <= radius <= m:
-        raise ValueError(f"radius must be in 0..{m}, got {r!r}")
+    radius = model._int_in(r, 0, m, "radius")
     return a_hamming_ball(center, sum(binom(m, t) for t in range(radius + 1)), m)
 
 
@@ -157,9 +150,7 @@ def a_hamming_ball(center: int, size: int, m: int) -> set[int]:
     [0, 1, 2, 3, 4]
     """
     m = model._check_item_count(m, lo=0)
-    n = model._integer(size)
-    if n is None or not 1 <= n <= 1 << m:
-        raise ValueError(f"size must be in 1..2^{m}, got {size!r}")
+    n = model._int_in(size, 1, 1 << m, "size")
     c = model._bundle(center, m, "center")
     return set((np.flatnonzero(_segment(_simplicial_key(m), n)) ^ c).tolist())
 
@@ -252,9 +243,8 @@ def cascade_decompose(n: int, k: int) -> Cascade:
     >>> cascade_decompose(1, 5).terms
     ((5, 5),)
     """
-    rem, level = model._integer(n), model._integer(k)
-    if rem is None or level is None or rem < 1 or level < 1:
-        raise ValueError(f"cascade needs positive integers n and k, got ({n!r}, {k!r})")
+    rem = model._int_in(n, 1, None, "n of cascade_decompose")
+    level = model._int_in(k, 1, None, "k of cascade_decompose")
     terms = []
     while rem:
         a, c = _largest_binom_at_most(rem, level)
@@ -276,9 +266,8 @@ def shadow(n: int, k: int) -> int:
     >>> shadow(10, 3)
     10
     """
-    count, level = model._integer(n), model._integer(k)
-    if count is None or level is None or count < 0 or level < 1:
-        raise ValueError(f"shadow needs integers n >= 0 and k >= 1, got ({n!r}, {k!r})")
+    count = model._int_in(n, 0, None, "n of shadow")
+    level = model._int_in(k, 1, None, "k of shadow")
     if count == 0:
         return 0
     return sum(binom(a, t - 1) for a, t in cascade_decompose(count, level).terms)
@@ -286,8 +275,8 @@ def shadow(n: int, k: int) -> int:
 
 def shadow_is_monotone(k: int, n_max: int) -> bool:
     """Whether shadow(., k) is non-decreasing on 0..n_max."""
-    if k < 1 or n_max < 1:
-        raise ValueError(f"need k >= 1 and n_max >= 1, got ({k}, {n_max})")
+    k = model._int_in(k, 1, None, "k of shadow_is_monotone")
+    n_max = model._int_in(n_max, 1, None, "n_max of shadow_is_monotone")
     return all(shadow(n, k) <= shadow(n + 1, k) for n in range(n_max))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Instance, Valuation, _bundle, complement, make_additive
+from .model import Instance, Valuation, _bundle, full_bundle, make_additive
 
 
 class BundleClass(Enum):
@@ -52,13 +52,13 @@ def is_ef1_allocation(inst: Instance, bundle_1: int) -> bool:
     """True iff giving `bundle_1` to agent 1 and the rest to agent 2 leaves
     each agent's own bundle EF1 under their own valuation."""
     b = _bundle(bundle_1, inst.m)
-    return is_ef1_bundle(inst.v1, b) and is_ef1_bundle(inst.v2, complement(b, inst.m))
+    return bool(inst.v1.ef1_mask[b] and inst.v2.ef1_mask[b ^ full_bundle(inst.m)])
 
 
 def is_efx_allocation(inst: Instance, bundle_1: int) -> bool:
     """Like is_ef1_allocation, with the EFX predicate per agent."""
     b = _bundle(bundle_1, inst.m)
-    return is_efx_bundle(inst.v1, b) and is_efx_bundle(inst.v2, complement(b, inst.m))
+    return bool(inst.v1.efx_mask[b] and inst.v2.efx_mask[b ^ full_bundle(inst.m)])
 
 
 def classify_bundle(v: Valuation, bundle: int) -> BundleClass:
@@ -76,6 +76,6 @@ def classify_bundle(v: Valuation, bundle: int) -> BundleClass:
     ef1 = v.ef1_mask
     if not ef1[b]:
         return BundleClass.TOO_SMALL
-    if ef1[complement(b, v.m)]:
+    if ef1[b ^ full_bundle(v.m)]:
         return BundleClass.GOOD
     return BundleClass.TOO_LARGE

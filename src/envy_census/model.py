@@ -27,6 +27,10 @@ MAX_ITEMS = 24
 # Fixed-point grid for randomly drawn values in [0, 1).
 RANDOM_DENOM = 1 << 30
 
+# derive_seed encodes each seed part in 16 signed bytes.
+MIN_SEED = -(1 << 127)
+MAX_SEED = (1 << 127) - 1
+
 _INT32_MAX = np.iinfo(np.int32).max
 _INT64_MIN = np.iinfo(np.int64).min
 _INT64_MAX = np.iinfo(np.int64).max
@@ -56,6 +60,20 @@ def _integer(x) -> int | None:
         return None
 
 
+def _int_in(x, lo: int | None, hi: int | None, what: str) -> int:
+    """x as an int; ValueError naming `what` unless it is an integer (see
+    `_integer`) in lo..hi. A None bound leaves that side open; with hi None,
+    lo is None, 0 or 1."""
+    n = _integer(x)
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        if hi is None:
+            span = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[lo]
+        else:
+            span = f"in {lo}..{hi}"
+        raise ValueError(f"{what} must be {span}, got {x!r}")
+    return n
+
+
 def _bundle(x, m: int = MAX_ITEMS, what: str = "bundle") -> int:
     """x as an int: TypeError unless operator.index takes it, ValueError
     for a bool or anything outside [0, 2^m). `what` names x in the error."""
@@ -64,13 +82,32 @@ def _bundle(x, m: int = MAX_ITEMS, what: str = "bundle") -> int:
     return b
 
 
+def _bundle_array(xs, what: str = "bundle") -> np.ndarray:
+    """The collection xs as one array, converted once under `_bundle`'s rule
+    (TypeError for a non-integer, ValueError naming `what` for a bool,
+    nothing truncated) but with no range check: int64, or object (exact
+    Python ints) when a value is beyond int64. Integer arrays skip the type
+    scan; a uint64 array above int64 becomes object, never wraps."""
+    if isinstance(xs, np.ndarray) and xs.dtype.kind in "iu":
+        if xs.dtype.kind == "u" and xs.size and int(xs.max()) > _INT64_MAX:
+            return xs.astype(object)
+        return xs.astype(np.int64, copy=False)
+    items = xs.tolist() if isinstance(xs, np.ndarray) else list(xs)
+    if not set(map(type, items)) <= {int}:
+        for x in items:
+            if isinstance(x, (bool, np.bool_)):
+                raise ValueError(f"{what} must not be a bool, got {x!r}")
+        items = list(map(operator.index, items))
+    # Python ints infer a signed dtype exactly when they all fit int64.
+    arr = np.array(items, dtype=None if items else np.int64)
+    if arr.dtype.kind != "i":
+        return np.array(items, dtype=object)
+    return arr.astype(np.int64, copy=False)
+
+
 def _check_item_count(m, lo: int = 1) -> int:
-    """m as an int; ValueError unless it is an integer (see `_integer`) in
-    lo..MAX_ITEMS."""
-    n = _integer(m)
-    if n is None or not lo <= n <= MAX_ITEMS:
-        raise ValueError(f"item count must be in {lo}..{MAX_ITEMS}, got {m!r}")
-    return n
+    """m as an int; ValueError unless it is an integer in lo..MAX_ITEMS."""
+    return _int_in(m, lo, MAX_ITEMS, "item count")
 
 
 def full_bundle(m: int) -> int:
@@ -100,14 +137,15 @@ def bundle_size(bundle: int) -> int:
 
 
 def bundle_of(items: Iterable[int]) -> int:
-    """Bundle containing exactly the given item indices.
+    """Bundle containing exactly the given item indices, each an integer in
+    0..MAX_ITEMS-1 (ValueError otherwise).
 
     >>> bundle_of([0, 2])
     5
     """
     mask = 0
     for i in items:
-        mask |= 1 << i
+        mask |= 1 << _int_in(i, 0, MAX_ITEMS - 1, "item")
     return mask
 
 
@@ -262,10 +300,7 @@ class Valuation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_item_count(self.m))
-        denom = _integer(self.denom)
-        if denom is None or denom < 1:
-            raise ValueError(f"denominator must be a positive integer, got {self.denom!r}")
-        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "denom", _int_in(self.denom, 1, None, "denominator"))
         table = _int64_numerators(self.table)
         if table.shape != (1 << self.m,):
             raise ValueError(
@@ -498,22 +533,16 @@ def random_monotone(m: int, seed: int) -> Valuation:
     monotone, and the empty bundle is pinned to 0.
     """
     m = _check_item_count(m)
-    return Valuation._trusted(m, _random_tables(m, [_seed(seed)])[0], RANDOM_DENOM)
-
-
-def _seed(x) -> int:
-    """x as an int; ValueError unless it is an integer (see `_integer`)."""
-    n = _integer(x)
-    if n is None:
-        raise ValueError(f"seed must be an integer, got {x!r}")
-    return n
+    seed = _int_in(seed, None, None, "seed")
+    return Valuation._trusted(m, _random_tables(m, [seed])[0], RANDOM_DENOM)
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable 64-bit seed from integer parts (hash-independent across runs)."""
+    """Stable 64-bit seed from integer parts in MIN_SEED..MAX_SEED
+    (hash-independent across runs)."""
     h = hashlib.blake2b(digest_size=8)
     for p in parts:
-        h.update(_seed(p).to_bytes(16, "little", signed=True))
+        h.update(_int_in(p, MIN_SEED, MAX_SEED, "seed").to_bytes(16, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
 
 

@@ -194,14 +194,39 @@ def test_out_of_range_bundles_raise_value_error_naming_the_first(systems, first_
         system_distance(*systems)
 
 
-def test_members_convert_as_int_does():
-    members = [np.int8(3), True, 2.7, "5", Fraction(9, 2), np.uint64(6)]
-    assert {int(x) for x in members} == {1, 2, 3, 4, 5, 6}
-    assert is_sperner(members) == is_sperner({1, 2, 3, 4, 5, 6})
-    assert system_distance(members, {7}) == system_distance({1, 2, 3, 4, 5, 6}, {7})
-    for bad, error in ((None, TypeError), (float("nan"), ValueError)):
-        with pytest.raises(error):
-            is_sperner([1, bad])
+def test_members_follow_the_bundle_rule():
+    """Members are bundles: a non-integer raises TypeError, a bool ValueError,
+    and nothing is truncated; numpy integers and integer arrays are taken."""
+    for bad in (2.7, "5", Fraction(9, 2), None, np.array([1.0, 2.0])):
+        members = bad if isinstance(bad, np.ndarray) else [1, bad]
+        with pytest.raises(TypeError):
+            is_sperner(members)
+        with pytest.raises(TypeError):
+            system_distance({0}, members)
+        with pytest.raises(TypeError):
+            verify_harper(members, {0}, 3)
+    for bad in ([1, True], [np.True_], np.array([False, True])):
+        with pytest.raises(ValueError):
+            is_sperner(bad)
+        with pytest.raises(ValueError):
+            system_distance(bad, {7})
+        with pytest.raises(ValueError):
+            verify_harper({7}, bad, 3)
+    members = [np.int8(3), np.uint64(6), 5]
+    assert is_sperner(members) == is_sperner({3, 5, 6})
+    assert system_distance(members, {7}) == system_distance({3, 5, 6}, {7}) == 1
+    for dtype in (np.int8, np.int64, np.uint16, np.uint64):
+        array = np.array([3, 5, 6], dtype=dtype)
+        assert is_sperner(array) == is_sperner({3, 5, 6})
+        assert system_distance(array, {7}) == 1
+        assert verify_harper(array, {0}, 3) == verify_harper({3, 5, 6}, {0}, 3)
+    # A uint64 array is never cast through int64, which would wrap it.
+    for value in (2**63, 2**64 - 1):
+        members = np.array([1, value], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"^bundle {value} is outside"):
+            is_sperner(members)
+        with pytest.raises(ValueError, match=rf"^bundle {value} is outside 0\.\.2\^3-1$"):
+            verify_harper({0}, members, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +537,12 @@ def test_cascade_and_shadow_take_integers_only():
 def test_shadow_monotone():
     assert shadow_is_monotone(3, 1000)
     assert shadow_is_monotone(1, 100)
-    with pytest.raises(ValueError):
-        shadow_is_monotone(0, 10)
+    assert shadow_is_monotone(np.int64(2), np.uint8(3)) == shadow_is_monotone(2, 3)
+    # Each argument is checked, and named, by shadow_is_monotone itself.
+    bad_pairs = ((0, 10, "k"), (1.5, 3, "k"), (True, 3, "k"), (2, 3.0, "n_max"), (2, 0, "n_max"))
+    for k, n_max, bad in bad_pairs:
+        with pytest.raises(ValueError, match=f"^{bad} of shadow_is_monotone must be"):
+            shadow_is_monotone(k, n_max)
 
 
 def test_shadow_identity_on_symmetric_binomials():

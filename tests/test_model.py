@@ -112,6 +112,14 @@ def test_every_bundle_argument_is_checked(call, m):
     assert call(np.int64(top)) == call(np.uint32(top)) == call(top)
 
 
+def test_bundle_of_checks_every_item():
+    assert bundle_of([np.int64(2), 0]) == 5
+    assert bundle_of([MAX_ITEMS - 1]) == 1 << (MAX_ITEMS - 1)
+    for items in ([True, 30], [-1], [1.5], [MAX_ITEMS]):
+        with pytest.raises(ValueError, match="item"):
+            bundle_of(items)
+
+
 def test_bundle_helpers_examples():
     assert complement(8, 4) == 7
     assert bundle_size(0b1011) == 3 and bundle_size(0) == 0
@@ -551,6 +559,16 @@ def test_derive_seed_stability():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
     assert 0 <= derive_seed(-5, 7) < 1 << 64
+
+
+def test_derive_seed_takes_parts_in_the_seed_range():
+    assert derive_seed(2**127 - 1) == 7775658991958835096
+    assert derive_seed(-(2**127), 5) == 13237085174242844090
+    for bad in (2**127, -(2**127) - 1, 2**200):
+        with pytest.raises(ValueError, match="seed"):
+            derive_seed(bad)
+        with pytest.raises(ValueError, match="seed"):
+            random_instance(2, bad)
 
 
 def test_random_instance_agents_differ():
