@@ -309,9 +309,10 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
 def _random_reports(m: int, seeds: Sequence[int]) -> list[CensusReport]:
     """census_report(random_instance(m, s)) for each row seed s, in order:
     one generation sweep and one sweep per mask for the whole batch."""
-    agent_seeds = [model.derive_seed(s, agent) for agent in (1, 2) for s in seeds]
-    tables = model._random_tables(m, agent_seeds)
     # Rows [0, K) are agent 1's tables, rows [K, 2K) agent 2's.
+    pairs = [model._agent_seeds(s) for s in seeds]
+    agent_seeds = [pair[agent] for agent in (0, 1) for pair in pairs]
+    tables = model._random_tables(m, agent_seeds)
     ef1 = model._ef1_masks(tables).reshape(2, len(seeds), -1)
     efx = model._efx_masks(tables).reshape(2, len(seeds), -1)
     return _reports(m, ef1, efx, "both")

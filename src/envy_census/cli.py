@@ -119,6 +119,8 @@ def _cannot_write(command: str, path: str, exc: OSError) -> int:
 def _cmd_gen(args) -> int:
     if args.kind != "additive" and (args.values is not None or args.values2 is not None):
         return _usage_error("gen", "--values and --values2 apply only to kind 'additive'")
+    if args.kind != "random-monotone" and args.seed is not None:
+        return _usage_error("gen", "--seed applies only to kind 'random-monotone'")
     if args.kind == "tight-ef1":
         inst = model.tight_ef1_instance(args.m)
     elif args.kind == "tight-efx":
@@ -134,7 +136,7 @@ def _cmd_gen(args) -> int:
         except ValueError as exc:
             return _usage_error("gen", str(exc))
     else:
-        inst = model.random_instance(args.m, args.seed)
+        inst = model.random_instance(args.m, args.seed or 0)
     if args.out:
         try:
             model.save_instance(inst, args.out)
@@ -152,6 +154,8 @@ def _cmd_gen(args) -> int:
 def _cmd_count(args) -> int:
     if args.agent is not None and args.list is None:
         return _usage_error("count", "--agent applies only with --list")
+    if args.fairness is not None and args.list is not None:
+        return _usage_error("count", "--fairness does not apply with --list")
     try:
         inst = model.load_instance(args.instance)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
@@ -168,7 +172,7 @@ def _cmd_count(args) -> int:
         }[args.list]
         sys.stdout.writelines(f"{b}\n" for b in np.flatnonzero(chosen).tolist())
         return EXIT_OK
-    report = census.census_report(inst, args.fairness)
+    report = census.census_report(inst, args.fairness or "both")
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
 
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write an instance file")
     p.add_argument("kind", choices=GEN_KINDS)
     p.add_argument("--m", type=_bounded_int(1, model.MAX_ITEMS), required=True, help="number of items")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for random-monotone")
+    p.add_argument("--seed", type=_seed, help="seed for random-monotone (default: 0)")
     p.add_argument("--values", type=_value_list, help="agent 1 item values (additive)")
     p.add_argument("--values2", type=_value_list, help="agent 2 item values (defaults to --values)")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact census of an instance file")
     p.add_argument("instance", help="instance JSON path")
-    p.add_argument("--fairness", choices=("ef1", "efx", "both"), default="both")
+    p.add_argument("--fairness", choices=("ef1", "efx", "both"), help="counts to report (default: both)")
     p.add_argument(
         "--list",
         choices=("good", "too-small", "too-large", "ef1-partitions"),

@@ -315,15 +315,10 @@ def bjorner_feasible(counts: Sequence[int]) -> bool:
     >>> bjorner_feasible([0, 1, 1])
     False
     """
-    counts = list(counts)
-    profile = [model._integer(c) for c in counts]
-    if None in profile:
-        raise ValueError(f"count {counts[profile.index(None)]!r} is not an integer")
+    profile = [model._int_in(c, 0, None, "count") for c in counts]
     n = len(profile)
     if n < 1:
         raise ValueError("profile must cover sizes 1..n for some n >= 1")
-    if any(c < 0 for c in profile):
-        raise ValueError("counts must be nonnegative")
     if not any(profile):
         raise ValueError("at least one count must be positive")
     j = next(i for i, c in enumerate(profile) if c)

@@ -96,7 +96,7 @@ def _bundle_array(xs, what: str = "bundle") -> np.ndarray:
     if not set(map(type, items)) <= {int}:
         for x in items:
             if isinstance(x, (bool, np.bool_)):
-                raise ValueError(f"{what} must not be a bool, got {x!r}")
+                raise ValueError(f"{what} must be an integer, not a bool, got {x!r}")
         items = list(map(operator.index, items))
     # Python ints infer a signed dtype exactly when they all fit int64.
     arr = np.array(items, dtype=None if items else np.int64)
@@ -279,29 +279,34 @@ class Valuation:
 
     `table[b]` is the value numerator of bundle `b`, an integer within int64
     (an integer array or Python ints; anything else raises ValueError); the
-    exact value is table[b] / denom. The table is int32 when its largest
-    numerator, the full bundle's, fits and int64 otherwise (see
-    `_table_dtype`). Tables are validated (normalized, monotone) at
-    construction, except the generators' tables, which are monotone by
-    construction, and frozen, so they are safe to share across threads and
-    worker processes. `item_values` records the per-item values when the
-    valuation was built additively, which lets instance files round-trip in
-    the compact additive form.
+    exact value is table[b] / denom. The table and the denominator are the
+    whole state: the caller's array is copied, never kept or frozen. The
+    table is int32 when its largest numerator, the full bundle's, fits and
+    int64 otherwise (see `_table_dtype`). Tables are validated (normalized,
+    monotone) at construction, except the generators' tables, which are
+    monotone by construction, and frozen, so they are safe to share across
+    threads and worker processes.
 
-    `ef1_mask` and `efx_mask` are derived from the table: each costs one
-    O(m * 2^m) sweep on first access and is then kept, read-only, for as long
-    as the valuation lives (2^m bytes each).
+    `item_values`, `ef1_mask` and `efx_mask` are derived from the table on
+    first access and then kept for as long as the valuation lives.
+    `item_values` holds each item's value when the table is additive, however
+    it was built, so instance files store it in the compact additive form.
+    Each mask costs one O(m * 2^m) sweep and 2^m bytes, read-only.
     """
 
     m: int
     table: np.ndarray
     denom: int = 1
-    item_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_item_count(self.m))
         object.__setattr__(self, "denom", _int_in(self.denom, 1, None, "denominator"))
-        table = _int64_numerators(self.table)
+        try:
+            table = _bundle_array(self.table, "table numerator")
+        except TypeError as exc:
+            raise ValueError(f"table numerators must be integers: {exc}") from None
+        if table.dtype == object:
+            raise ValueError("table numerators must fit int64")
         if table.shape != (1 << self.m,):
             raise ValueError(
                 f"table must have 2^{self.m} entries, got shape {table.shape}"
@@ -309,22 +314,23 @@ class Valuation:
         violation = check_monotone(table)
         if violation is not None:
             raise ValueError(f"valuation is not monotone: {violation}")
-        table = table.astype(_table_dtype(table[-1]), copy=False)
+        # The one copy: `table` may still be the caller's int64 array.
+        table = table.astype(_table_dtype(table[-1]))
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @classmethod
-    def _trusted(cls, m: int, table: np.ndarray, denom: int, item_values=None) -> Valuation:
+    def _trusted(cls, m: int, table: np.ndarray, denom: int) -> Valuation:
         """Take over and freeze a fresh table, normalized and monotone by
         construction and already in its `_table_dtype`: no copy, no check."""
         table.setflags(write=False)
         v = object.__new__(cls)
-        v.__dict__.update(m=m, table=table, denom=denom, item_values=item_values)
+        v.__dict__.update(m=m, table=table, denom=denom)
         return v
 
     def __reduce__(self):
         # Unpickle through the constructor: checked, frozen, no stale masks.
-        return Valuation, (self.m, self.table, self.denom, self.item_values)
+        return Valuation, (self.m, self.table, self.denom)
 
     def value(self, bundle: int) -> Fraction:
         """Exact value of `bundle`.
@@ -334,6 +340,20 @@ class Valuation:
         2 0 5
         """
         return Fraction(int(self.table[_bundle(bundle, self.m)]), self.denom)
+
+    @cached_property
+    def item_values(self) -> tuple[Fraction, ...] | None:
+        """Each item's value when every bundle is worth the sum of its items'
+        values, else None."""
+        t = self.table
+        singles = [int(t[1 << i]) for i in range(self.m)]
+        # Values are nonnegative: once the singles sum to the full bundle's
+        # value, no partial sum of the doubling build overflows t's dtype.
+        if sum(singles) != int(t[-1]) or not np.array_equal(
+            _additive_table(singles, 0, t.dtype), t
+        ):
+            return None
+        return tuple(Fraction(x, self.denom) for x in singles)
 
     @cached_property
     def ef1_mask(self) -> np.ndarray:
@@ -380,25 +400,6 @@ def _removal_mask(t: np.ndarray, thresh: np.ndarray, reduce) -> np.ndarray:
     mask = t >= thresh[..., ::-1]
     mask.setflags(write=False)
     return mask
-
-
-def _int64_numerators(table) -> np.ndarray:
-    """A fresh int64 copy of `table`, an integer array or a sequence of ints
-    within int64. Nothing is cast on the way in: any other entry, or one
-    outside int64, raises ValueError."""
-    if not isinstance(table, np.ndarray):
-        table = np.array(table, dtype=object)
-    if table.dtype.kind == "O":
-        for x in table.flat:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"table numerator {x!r} is not an integer")
-    elif table.dtype.kind not in "iu":
-        raise ValueError(f"table numerators must be integers, got {table.dtype}")
-    if table.dtype.kind != "i" and table.size and not (
-        _INT64_MIN <= int(table.min()) and int(table.max()) <= _INT64_MAX
-    ):
-        raise ValueError("table numerators must fit int64")
-    return table.astype(np.int64)
 
 
 def _table_dtype(top: int) -> type:
@@ -505,7 +506,7 @@ def make_additive(item_values: Sequence) -> Valuation:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
     table = _additive_table(numers, 0, _table_dtype(total))
-    return Valuation._trusted(m, table, denom, tuple(values))
+    return Valuation._trusted(m, table, denom)
 
 
 def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
@@ -546,12 +547,14 @@ def derive_seed(*parts: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _agent_seeds(seed: int) -> tuple[int, int]:
+    """The random_monotone seeds of agents 1 and 2 of random_instance(m, seed)."""
+    return derive_seed(seed, 1), derive_seed(seed, 2)
+
+
 def random_instance(m: int, seed: int) -> Instance:
     """Instance with two independent random monotone valuations."""
-    return Instance(
-        random_monotone(m, derive_seed(seed, 1)),
-        random_monotone(m, derive_seed(seed, 2)),
-    )
+    return Instance(*(random_monotone(m, s) for s in _agent_seeds(seed)))
 
 
 def tight_ef1_instance(m: int) -> Instance:
@@ -678,9 +681,10 @@ def instance_from_dict(data) -> Instance:
     is not monotone."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object")
-    m = data.get("m")
-    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_ITEMS:
-        raise InstanceFormatError(f"'m' must be an integer in 1..{MAX_ITEMS}, got {m!r}")
+    try:
+        m = _int_in(data.get("m"), 1, MAX_ITEMS, "'m'")
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
     agents = data.get("agents")
     if not isinstance(agents, list) or len(agents) != 2:
         raise InstanceFormatError("'agents' must be a list of exactly 2 agents")

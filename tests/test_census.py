@@ -472,7 +472,7 @@ def _dtype_cases(m):
 
 def _int64_twin(v):
     """The same valuation with its table held as int64."""
-    return Valuation._trusted(v.m, v.table.astype(np.int64), v.denom, v.item_values)
+    return Valuation._trusted(v.m, v.table.astype(np.int64), v.denom)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 12])

@@ -97,6 +97,38 @@ def test_count_refuses_agent_without_list(capsys, agent):
     assert err == "count: error: --agent applies only with --list\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tight-ef1", "--m", "3", "--seed", "5"),
+        ("tight-efx", "--m", "3", "--seed", "0"),
+        ("additive", "--m", "2", "--values", "1,2", "--seed", "1"),
+    ],
+)
+def test_gen_refuses_seed_outside_random_monotone(capsys, argv):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err == "gen: error: --seed applies only to kind 'random-monotone'\n"
+
+
+def test_gen_random_monotone_seed_defaults_to_0(capsys):
+    argv = ("gen", "random-monotone", "--m", "3")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
+@pytest.mark.parametrize("fairness", ["ef1", "efx", "both"])
+def test_count_refuses_fairness_with_list(capsys, fairness):
+    path = DATA / "random_monotone_m4_seed1.json"
+    code, out, err = run_cli(capsys, "count", str(path), "--list", "good", "--fairness", fairness)
+    assert code == 1 and out == ""
+    assert err == "count: error: --fairness does not apply with --list\n"
+
+
+def test_count_fairness_defaults_to_both(capsys):
+    path = str(DATA / "random_monotone_m4_seed1.json")
+    assert run_cli(capsys, "count", path) == run_cli(capsys, "count", path, "--fairness", "both")
+
+
 def test_count_reports_tight_instances(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run_cli(capsys, "gen", "tight-ef1", "--m", "4", "--out", str(path))

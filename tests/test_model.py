@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 import re
@@ -46,7 +47,7 @@ from envy_census import (
 from envy_census import model
 from envy_census.model import _encode_number, _fixed_point, _parse_table
 
-from oracles import additive_map, bundle_items, per_value_table, small_value_table
+from oracles import additive_map, bundle_items, per_value_table, small_value_table, valuation_map
 
 DATA = Path(__file__).parent / "data"
 INT64_MAX = 2**63 - 1
@@ -401,6 +402,64 @@ def test_pickled_valuation_is_checked_frozen_and_without_masks(v):
     table[-1] = -1
     with pytest.raises(ValueError, match="not monotone"):
         rebuild(m, table, *rest)
+
+
+def test_valuation_has_no_item_values_field():
+    assert [f.name for f in dataclasses.fields(Valuation)] == ["m", "table", "denom"]
+    for item_values in ((Fraction(7),), ("x",)):
+        with pytest.raises(TypeError):
+            Valuation(1, [0, 1], item_values=item_values)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_valuation_leaves_the_callers_array_writable_and_unaliased(dtype):
+    arr = np.array([0, 1, 1, 2], dtype=dtype)
+    v = Valuation(2, arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, v.table)
+    arr[3] = 7
+    assert v.table.tolist() == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "values", [[1, "1/2", 0], ["1/3", "1/4", "5/6"], [0], [0, 0, 0], [2**40, 3, 0, "7/2"]], ids=repr
+)
+def test_item_values_are_the_values_make_additive_took(values):
+    expected = tuple(map(as_fraction, values))
+    assert make_additive(values).item_values == expected
+    agent = {"kind": "additive", "values": values}
+    assert instance_from_dict({"m": len(values), "agents": [agent, agent]}).v1.item_values == expected
+
+
+def _valuations_of_every_origin():
+    """make_additive with fractional values; tight, random and tie-heavy
+    valuations for m = 1..8; additive tables passed in as plain tables; and
+    a table whose singles sum to the full bundle's value but is not additive."""
+    yield make_additive(["1/3", "1/4", 0, "5/6"])
+    yield make_additive([Fraction(7, 2), 0, 2**40])
+    yield Valuation(3, [0, 1, 1, 1, 1, 2, 2, 3])
+    for m in range(1, 9):
+        yield tight_ef1_instance(m).v1
+        yield tight_efx_instance(m).v1
+        yield random_monotone(m, m)
+        yield Valuation(m, small_value_table(m, 7 * m))
+        weights = np.random.default_rng(m).integers(0, 4, size=m)
+        table = [sum(int(weights[i]) for i in range(m) if b >> i & 1) for b in range(1 << m)]
+        yield Valuation(m, table, 3)
+        yield Valuation(m, np.array(make_additive([2**40 + i for i in range(m)]).table), 5)
+
+
+@pytest.mark.parametrize("v", list(_valuations_of_every_origin()))
+def test_save_load_round_trips_every_valuation(tmp_path, v):
+    singles = [v.value(1 << i) for i in range(v.m)]
+    additive = valuation_map(v) == additive_map(singles, v.m)
+    assert v.item_values == (tuple(singles) if additive else None)
+    path = tmp_path / "inst.json"
+    save_instance(Instance(v, v), path)
+    kinds = [agent["kind"] for agent in json.loads(path.read_text())["agents"]]
+    assert kinds == ["additive" if additive else "table"] * 2
+    back = load_instance(path).v1
+    assert all(back.value(b) == v.value(b) for b in range(1 << v.m))
+    assert back.item_values == v.item_values
 
 
 def test_random_monotone_is_reproducible():
