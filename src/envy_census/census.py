@@ -17,8 +17,14 @@ report is the batch of one, read from `[None]` views of the cached masks,
 and `_random_reports` runs K seeded random instances of one m through the
 same code, with one generation sweep and one sweep per mask for the batch.
 
-Every class count, list and check reads the bundle classes from
-`_bundle_classes`, and both constructions pair proposals in `_pairings`.
+The counts and the class census work on masks packed 64 bundles to a
+uint64 word (`_words`): a pair count is an AND of words and a popcount,
+and the separation check moves bits within a word for items 0..5 and
+walks the word arrays' own covering halves for the other items.
+
+Every class list and check reads the bundle classes from
+`_bundle_classes`, the class census builds the same classes on words, and
+both constructions pair proposals in `_pairings`.
 """
 from __future__ import annotations
 
@@ -36,20 +42,44 @@ from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight
 # counting
 
 
-def _row_counts(masks: np.ndarray) -> np.ndarray:
-    """True entries per row of boolean masks, along the last axis. One whole
-    row per count_nonzero call: given an axis, numpy sums the row instead,
-    about seven times slower on a 2^22-entry row."""
-    rows = masks.reshape(-1, masks.shape[-1])
-    counts = np.fromiter(map(np.count_nonzero, rows), dtype=np.int64, count=len(rows))
-    return counts.reshape(masks.shape[:-1])
+# Set bits per byte value: numpy 1.24 has no bitwise_count.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+# For item i < 6: the bits of a packed word (see `_words`) whose bundles
+# hold item i.
+_WORD_ITEM_BITS = [
+    np.uint64(sum(1 << s for s in range(64) if s >> i & 1)) for i in range(6)
+]
+
+
+def _words(masks: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Boolean masks, bundles along the last axis, packed into uint64
+    words: bundle b is bit b % 64 of word b // 64, and the bits past the
+    last bundle, in a lattice of fewer than 64 bundles, are 0. With
+    `reverse`, masks[..., ::-1] instead, packed from masks itself: a
+    big-endian bit order, read in reverse byte order, reverses every bit."""
+    n = masks.shape[-1]
+    packed = np.packbits(masks, axis=-1, bitorder="big" if reverse else "little")
+    if reverse:
+        packed = packed[..., ::-1]
+    words = np.zeros((*masks.shape[:-1], -(-n // 64)), dtype="<u8")
+    words.view(np.uint8)[..., : packed.shape[-1]] = packed
+    if reverse:
+        # Reversed, the last bundle sits at bit 8 * bytes - 1, not n - 1.
+        words >>= np.uint64(8 * packed.shape[-1] - n)
+    return words
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of uint64 words, along the last axis."""
+    return np.take(_POPCOUNT, words.view(np.uint8)).sum(axis=-1, dtype=np.int64)
 
 
 def _pair_counts(masks_1: np.ndarray, masks_2: np.ndarray) -> np.ndarray:
     """Per row of the leading axes: the ordered splits (M1, M2) with M1 in
     masks_1 and M2 in masks_2, bundles along the last axis. Reversed,
     masks_2 is indexed by complements."""
-    return _row_counts(masks_1 & masks_2[..., ::-1])
+    return _popcounts(_words(masks_1) & _words(masks_2, reverse=True))
 
 
 def count_ef1_allocations(inst: Instance) -> int:
@@ -148,12 +178,28 @@ def verify_separation(v: Valuation) -> bool:
 
 def _class_census(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(too-small count, good count, verify_separation) per row of EF1 masks
-    (bundles along the last axis), from one build of their classes."""
-    too_small, too_large, good = _bundle_classes(ef1)
-    crossing = np.zeros(ef1.shape[:-1], dtype=bool)
-    for _, ts_lo, _, _, tl_hi in model._covering_halves(too_small, too_large):
-        crossing |= np.any(ts_lo & tl_hi, axis=tuple(range(crossing.ndim, ts_lo.ndim)))
-    return _row_counts(too_small), _row_counts(good), ~crossing
+    (bundles along the last axis), from one build of their classes on
+    packed words (see `_words`); counts come from the popcount table. The
+    check marks every bundle one item above a too-small bundle, and looks
+    for a too-large one among them: items 0..5 move bits within a word, by
+    a shift and a mask; items 6 and up are the items of the word lattice,
+    walked by `model._covering_halves` with the marks as its seeded
+    output."""
+    m = ef1.shape[-1].bit_length() - 1
+    words = _words(ef1)
+    good = words & _words(ef1, reverse=True)
+    too_large = words ^ good
+    too_small = ~words
+    # Below 64 bundles, the padding bits past the last bundle stay clear.
+    too_small[..., -1] &= np.uint64((1 << min(1 << m, 64)) - 1)
+    above = np.empty_like(too_small)
+    walk = model._covering_halves(read=[too_small], seeded=[(above, 0)])
+    for _, small_lo, _, _, above_hi in walk:
+        above_hi |= small_lo
+    for i in range(min(m, 6)):
+        above |= too_small << np.uint64(1 << i) & _WORD_ITEM_BITS[i]
+    crossing = np.any(above & too_large, axis=-1)
+    return _popcounts(too_small), _popcounts(good), ~crossing
 
 
 # ---------------------------------------------------------------------------

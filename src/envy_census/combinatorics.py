@@ -87,7 +87,7 @@ def _vector_distance(a: np.ndarray, b: np.ndarray):
         return 0
     far = np.int8(model.MAX_ITEMS + 1)
     dist = np.where(a, np.int8(0), far)
-    for _, lo, hi in model._covering_halves(dist):
+    for _, lo, hi in model._covering_halves(updated=[dist]):
         np.minimum(lo, hi + 1, out=lo)
         np.minimum(hi, lo + 1, out=hi)
     return int(np.min(dist, where=b, initial=far))
@@ -296,7 +296,8 @@ def is_sperner(family: Iterable[int]) -> bool:
     # above[b]: some member is a proper subset of b. Sweeping item i adds the
     # members and marked bundles one item below, so marks compound upward.
     above = np.zeros_like(members)
-    for _, members_lo, _, above_lo, above_hi in model._covering_halves(members, above):
+    walk = model._covering_halves(read=[members], updated=[above])
+    for _, members_lo, _, above_lo, above_hi in walk:
         above_hi |= above_lo
         above_hi |= members_lo
     return not np.any(above & members)

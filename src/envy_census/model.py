@@ -87,11 +87,14 @@ def _bundle_array(xs, what: str = "bundle") -> np.ndarray:
     (TypeError for a non-integer, ValueError naming `what` for a bool,
     nothing truncated) but with no range check: int64, or object (exact
     Python ints) when a value is beyond int64. Integer arrays skip the type
-    scan; a uint64 array above int64 becomes object, never wraps."""
+    scan: a signed-integer array comes back as it is, at its own width and
+    not copied; a uint64 array above int64 becomes object, never wraps."""
     if isinstance(xs, np.ndarray) and xs.dtype.kind in "iu":
-        if xs.dtype.kind == "u" and xs.size and int(xs.max()) > _INT64_MAX:
+        if xs.dtype.kind == "i":
+            return xs
+        if xs.size and int(xs.max()) > _INT64_MAX:
             return xs.astype(object)
-        return xs.astype(np.int64, copy=False)
+        return xs.astype(np.int64)
     items = xs.tolist() if isinstance(xs, np.ndarray) else list(xs)
     if not set(map(type, items)) <= {int}:
         for x in items:
@@ -170,47 +173,85 @@ def _additive_table(weights: Sequence[int], base: int, dtype) -> np.ndarray:
     return table
 
 
-def _covering_halves(*arrays: np.ndarray) -> Iterator[tuple]:
+# The covering walk takes the low ceil(m/2) items on transposed tiles of at
+# most this many entries (see _covering_halves): 256 KiB of int32, so the
+# tiles of a sweep stay in a core's L2 cache.
+_TILE_ENTRIES = 1 << 16
+
+
+def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     """Walk every covering pair of the bundle lattice, one item at a time:
     the closure sweeps, whose updates compound over items (additive tables
     are built by doubling instead, see `_additive_table`).
 
     The arrays share one shape and are indexed by bundle along the last
     axis, which holds 2^m entries; any leading axes are a batch of
-    independent lattices, walked together. For item i this yields
-    (bit, lo_1, hi_1, lo_2, hi_2, ...) with bit = 2^i: the two halves of the
-    last axis of each array's reshape(*lead, -1, 2 * bit) view. hi_k[..., r, c]
-    belongs to the bundle of lo_k[..., r, c] plus item i, so over the m items
-    every covering pair of every lattice appears exactly once. The halves
-    are views: writing them writes the arrays.
+    independent lattices, walked together. Each array has one role:
+    `read` arrays are only read; `updated` arrays are read and written;
+    each `seeded` entry is an (out, seed) pair whose output starts as
+    `seed` before any item, a scalar or one of the `read` arrays, and is
+    then written. Updated and seeded arrays must be C-contiguous.
 
-    numpy runs a ufunc's inner loop along the smallest stride, which in a
-    half is one row: at most `bit` entries. So an item whose half-row is at
-    most 8 bytes wide, in the widest array, yields instead one tuple per
-    column c < bit, holding the columns lo_k[..., c] and hi_k[..., c] (1-D
-    for one lattice), and every inner loop runs down the long axis; in a
-    contiguous batch the lattices' columns join end to end into one loop.
-    Each column costs the consumer one more call, which pays only when it
-    spares over a hundred short loops: the columns are cut only when each
-    holds at least 128 * bit entries, over the whole batch. Consumers that
-    need the position of an entry rebuild it from `bit`.
+    For item i this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with
+    bit = 2^i, over the read, then the updated, then the seeded arrays:
+    hi_k holds the bundles of lo_k plus item i, entry for entry, so over
+    the m items every covering pair of every lattice appears exactly once.
+    Consumers may write the halves of updated and seeded arrays, and must
+    not rely on an entry's position or on the order of the items.
+
+    The high items, from ceil(m/2) up, yield the two halves of the last
+    axis of each array's reshape(*lead, -1, 2 * bit) view: rows of at least
+    2^ceil(m/2) entries, so numpy's inner loops are long. The low items
+    would run short loops there, so the walk first cuts the whole batch
+    into rows of 2^ceil(m/2) bundles and takes them R at a time, R the
+    largest power of two that divides the row count (odd batches included)
+    and keeps R * 2^ceil(m/2) within _TILE_ENTRIES. Each such tile is
+    transposed into a buffer, where every low item's half is made of runs
+    of bit * R contiguous entries, and the low items of the tile are
+    yielded in turn, as views of the buffers. A read array's tile is
+    transposed in; an updated array's is transposed in and written back; a
+    seeded output's is filled from its seed and written back, so the
+    output is never read before the walk writes it.
     """
+    arrays = [*read, *updated, *(out for out, _ in seeded)]
     lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
-    entries = arrays[0].size
-    width = max(a.itemsize for a in arrays)
-    for i in range(size.bit_length() - 1):
+    m = size.bit_length() - 1
+    low = (m + 1) // 2
+    rows = arrays[0].size >> low
+    tile = min(_TILE_ENTRIES >> low, rows & -rows)
+    grids = [a.reshape(rows, 1 << low) for a in arrays]
+    bufs = [np.empty((1 << low, tile), dtype=a.dtype) for a in arrays]
+    tile_halves = []
+    for i in range(low):
+        run = tile << i
+        halves: list = [1 << i]
+        for buf in bufs:
+            view = buf.reshape(-1, 2 * run)
+            halves += (view[:, :run], view[:, run:])
+        tile_halves.append(tuple(halves))
+    loaded = len(read) + len(updated)
+    # A seed array is a read array: its tile is already in that buffer.
+    seeds = [
+        bufs[next(k for k, a in enumerate(read) if a is seed)]
+        if isinstance(seed, np.ndarray)
+        else seed
+        for _, seed in seeded
+    ]
+    for r in range(0, rows, tile):
+        for grid, buf in zip(grids[:loaded], bufs):
+            buf[...] = grid[r : r + tile].T
+        for seed, buf in zip(seeds, bufs[loaded:]):
+            buf[...] = seed
+        yield from tile_halves
+        for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
+            grid[r : r + tile] = buf.T
+    for i in range(low, m):
         bit = 1 << i
-        shape = (*lead, -1, 2 * bit)
-        views = [a.reshape(shape) for a in arrays]
-        if bit * width > 8 or entries < 256 * bit * bit:
-            cuts = [(slice(bit), slice(bit, None))]
-        else:
-            cuts = zip(range(bit), range(bit, 2 * bit))
-        for lo, hi in cuts:
-            halves: list = [bit]
-            for view in views:
-                halves += (view[..., lo], view[..., hi])
-            yield tuple(halves)
+        halves = [bit]
+        for a in arrays:
+            view = a.reshape(*lead, -1, 2 * bit)
+            halves += (view[..., :bit], view[..., bit:])
+        yield tuple(halves)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +298,19 @@ def check_monotone(table) -> MonotoneViolation | None:
         raise ValueError("table length must be a power of two")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
-    for bit, lo, hi in _covering_halves(arr):
-        if np.any(hi < lo):
-            # The first violation of this item, in bundle order, from the
-            # item's whole (rows, 2 * bit) view.
-            view = arr.reshape(-1, 2 * bit)
-            flat = int(np.argmax(view[:, bit:] < view[:, :bit]))
+    if not any(np.any(hi < lo) for _, lo, hi in _covering_halves(read=[arr])):
+        return None
+    # The witness: the least violating item's first violation in bundle
+    # order, from the item's whole (rows, 2 * bit) view, whatever tile the
+    # walk found a violation in.
+    for i in range(arr.size.bit_length() - 1):
+        bit = 1 << i
+        view = arr.reshape(-1, 2 * bit)
+        below = view[:, bit:] < view[:, :bit]
+        if below.any():
+            flat = int(np.argmax(below))
             small = (flat // bit) * 2 * bit + flat % bit
-            large = small + bit
-            return MonotoneViolation(small, large, arr[small], arr[large])
-    return None
+            return MonotoneViolation(small, small + bit, arr[small], arr[small + bit])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +358,7 @@ class Valuation:
         violation = check_monotone(table)
         if violation is not None:
             raise ValueError(f"valuation is not monotone: {violation}")
-        # The one copy: `table` may still be the caller's int64 array.
+        # The one copy: `table` may still be the caller's array.
         table = table.astype(_table_dtype(table[-1]))
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -378,7 +422,7 @@ def _ef1_masks(tables: np.ndarray) -> np.ndarray:
     min(complement's value, complement's cheapest single-item removal): the
     threshold starts from the tables themselves and the sweep takes in the
     removals."""
-    return _removal_mask(tables, tables.copy(), np.minimum)
+    return _removal_mask(tables, tables, np.minimum)
 
 
 def _efx_masks(tables: np.ndarray) -> np.ndarray:
@@ -386,16 +430,19 @@ def _efx_masks(tables: np.ndarray) -> np.ndarray:
     axes are a batch). EFX compares against the complement's costliest
     single-item removal, so the threshold starts from 0: the full bundle
     passes vacuously, and values are nonnegative."""
-    return _removal_mask(tables, np.zeros_like(tables), np.maximum)
+    return _removal_mask(tables, 0, np.maximum)
 
 
-def _removal_mask(t: np.ndarray, thresh: np.ndarray, reduce) -> np.ndarray:
+def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     """Read-only mask of bundles b with t[..., b] >= thresh[..., c], c = b's
     complement, after one sweep folds t over one-item removals into
     `thresh` with `reduce` (np.minimum or np.maximum). Bundles run along the
-    last axis, and each leading index is its own table. `thresh` is
-    consumed: its seed is the definition's value before any removal."""
-    for _, t_lo, _, _, th_hi in _covering_halves(t, thresh):
+    last axis, and each leading index is its own table. `thresh` is the
+    walk's seeded output: `seed` (t itself, or a scalar) is the
+    definition's value before any removal, filled in tile by tile, so no
+    seeded copy of the tables is made."""
+    thresh = np.empty(t.shape, dtype=t.dtype)
+    for _, t_lo, _, _, th_hi in _covering_halves(read=[t], seeded=[(thresh, seed)]):
         reduce(th_hi, t_lo, out=th_hi)
     mask = t >= thresh[..., ::-1]
     mask.setflags(write=False)
@@ -506,7 +553,10 @@ def make_additive(item_values: Sequence) -> Valuation:
         raise ValueError("item values overflow the 64-bit fixed-point table")
     m = len(values)
     table = _additive_table(numers, 0, _table_dtype(total))
-    return Valuation._trusted(m, table, denom)
+    v = Valuation._trusted(m, table, denom)
+    # Additive by construction: no rebuild of the table to find out.
+    v.__dict__["item_values"] = tuple(values)
+    return v
 
 
 def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
@@ -514,13 +564,16 @@ def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
     the table of random_monotone(m, seeds[k]). Each row draws from its own
     generator; one closure sweep then serves the whole batch."""
     m = _check_item_count(m)
-    # The int64 draw fixes the stream, and so every random table; values
-    # below RANDOM_DENOM fit int32, so the rows are narrowed before the sweep.
+    # The draw fixes every random table: the 32-bit halves of the seed's
+    # raw PCG64 stream, low half first on any byte order, shifted right by
+    # 2. That is default_rng(seed).integers(0, RANDOM_DENOM, dtype=np.int64),
+    # but NEP 19 keeps the raw stream fixed across numpy releases, and
+    # `integers` not. Values below RANDOM_DENOM fit the int32 rows.
     tables = np.empty((len(seeds), 1 << m), dtype=_table_dtype(RANDOM_DENOM - 1))
     for row, seed in zip(tables, seeds):
-        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        row[:] = rng.integers(0, RANDOM_DENOM, size=1 << m, dtype=np.int64)
-    for _, lo, hi in _covering_halves(tables):
+        raw = np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF).random_raw(1 << (m - 1))
+        np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 2, out=row.view(np.uint32))
+    for _, lo, hi in _covering_halves(updated=[tables]):
         np.maximum(hi, lo, out=hi)
     tables[:, 0] = 0
     return tables

@@ -25,12 +25,49 @@ def small_value_table(m, seed, monotone=True):
     of random_monotone."""
     table = np.random.default_rng(seed).integers(0, 4, size=1 << m)
     table[0] = 0
-    if monotone:
-        for bits in range(1 << m):
-            for j in range(m):
-                if bits >> j & 1:
-                    table[bits] = max(table[bits], table[bits ^ (1 << j)])
-    return table
+    return subset_max(table) if monotone else table
+
+
+# ---------------------------------------------------------------------------
+# whole-lattice references: one item at a time over the whole array, the
+# covering pairs picked by index arithmetic; bundles along the last axis,
+# leading axes a batch
+
+
+def item_pairs(m):
+    """For each item i: (bundles without item i, the same bundles with it)."""
+    bundles = np.arange(1 << m)
+    return [(lo, lo | 1 << i) for i in range(m) for lo in [bundles[bundles >> i & 1 == 0]]]
+
+
+def subset_max(tables):
+    """Each entry raised to the largest entry of its subsets."""
+    out = np.array(tables)
+    for lo, hi in item_pairs(out.shape[-1].bit_length() - 1):
+        out[..., hi] = np.maximum(out[..., hi], out[..., lo])
+    return out
+
+
+def removal_masks(tables):
+    """(EF1, EFX) masks: bundle b against the cheapest and the costliest
+    one-item removal from its complement c, the EF1 threshold also capped by
+    c's own value."""
+    cheapest, costliest = tables.copy(), np.zeros_like(tables)
+    for lo, hi in item_pairs(tables.shape[-1].bit_length() - 1):
+        cheapest[..., hi] = np.minimum(cheapest[..., hi], tables[..., lo])
+        costliest[..., hi] = np.maximum(costliest[..., hi], tables[..., lo])
+    return tables >= cheapest[..., ::-1], tables >= costliest[..., ::-1]
+
+
+def class_census(ef1):
+    """(too-small count, good count, no covering step from a too-small up to
+    a too-large bundle) per row of boolean EF1 masks."""
+    good = ef1 & ef1[..., ::-1]
+    too_small, too_large = ~ef1, ef1 & ~good
+    crossing = np.zeros(ef1.shape[:-1], dtype=bool)
+    for lo, hi in item_pairs(ef1.shape[-1].bit_length() - 1):
+        crossing |= (too_small[..., lo] & too_large[..., hi]).any(axis=-1)
+    return too_small.sum(axis=-1), good.sum(axis=-1), ~crossing
 
 
 def per_value_table(raw):

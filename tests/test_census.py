@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envy_census import census
+from envy_census import census, model
 from envy_census import (
     Instance,
     Valuation,
@@ -43,6 +43,7 @@ from envy_census import (
 
 from oracles import (
     bundle_items,
+    class_census,
     classification_systems,
     count_allocations,
     ef1_ok,
@@ -446,6 +447,44 @@ def test_class_census_flags_separation_per_row(m):
         upward = {b | 1 << i for b in too_small for i in range(m)}
         assert ok == upward.isdisjoint(too_large)
         assert census._class_census(row)[2] == ok
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_words_pack_masks_and_their_reversal(m):
+    """Bundle b is bit b % 64 of word b // 64, padding bits are 0, and the
+    reversed packing is the packing of the reversed masks."""
+    masks = np.random.default_rng(m).random((3, 1 << m)) < 0.5
+    for reverse, expected in ((False, masks), (True, masks[:, ::-1])):
+        words = census._words(masks, reverse=reverse)
+        assert words.shape == (3, max(1, (1 << m) // 64))
+        bits = (words[..., :, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)).reshape(3, -1)
+        assert np.array_equal(bits[:, : 1 << m], expected) and not bits[:, 1 << m :].any()
+
+
+def _census_cases(m):
+    """Batches of EF1 masks: random masks (some rows separated, some not),
+    and the EF1 masks of 6 random and 12 tie-heavy tables."""
+    rng = np.random.default_rng(m)
+    yield rng.random((6, 1 << m)) < 0.9
+    yield model._ef1_masks(model._random_tables(m, range(6)))
+    ties = np.stack([small_value_table(m, 31 * m + k) for k in range(12)]).astype(np.int32)
+    yield model._ef1_masks(ties)
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_packed_class_census_and_pair_counts_equal_the_references(m):
+    """The packed class census and pair counts of a batch, and of each row
+    alone, equal the boolean item-by-item references (tests/oracles.py)."""
+    for masks in _census_cases(m):
+        got = census._class_census(masks)
+        expected = class_census(masks)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+        for k, row in enumerate(masks):
+            assert [x.item() for x in census._class_census(row)] == [e[k].item() for e in expected]
+        other = masks[::-1]
+        pairs = (masks & other[:, ::-1]).sum(axis=-1)
+        assert np.array_equal(census._pair_counts(masks, other), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,32 @@ def test_system_distance_matches_oracle():
 
 
 def test_system_distance_of_single_bundles_is_their_hamming_distance():
-    """m = 9..16: the int8 walk is cut into columns for its narrow low items."""
+    """m = 9..18: the int8 walk takes its low items on tiles, more than one
+    from m = 17 on."""
     rng = np.random.default_rng(41)
-    for m in range(9, 17):
+    for m in range(9, 19):
         for _ in range(6):
             x, y = (int(v) for v in rng.integers(0, 1 << m, size=2))
             x |= 1 << (m - 1)  # the least m holding both is m
             assert system_distance({x}, {y}) == (x ^ y).bit_count()
+
+
+def test_distance_and_sperner_checks_on_several_tiles():
+    """Random systems at m = 17 and 18, whose walks take several tiles,
+    against the pairwise oracles."""
+    rng = np.random.default_rng(59)
+    outcomes = set()
+    for m in (17, 18):
+        for size in (2, 12, 40):
+            system_a = set(rng.integers(0, 1 << m, size=size).tolist()) | {1 << (m - 1)}
+            system_b = set(rng.integers(0, 1 << m, size=size).tolist()) - system_a
+            assert system_distance(system_a, system_b) == min_cross_distance(system_a, system_b)
+            level = {b for b in system_a | system_b if b.bit_count() == m // 2} | {(1 << m // 2) - 1}
+            below = {b & (b - 1) for b in system_a}
+            for family in (level, level | below, level | {(1 << m) - 1}):
+                outcomes.add(is_antichain(family))
+                assert is_sperner(family) == is_antichain(family)
+    assert outcomes == {True, False}
 
 
 def test_system_distance_of_intersecting_systems_is_zero():

@@ -47,7 +47,16 @@ from envy_census import (
 from envy_census import model
 from envy_census.model import _encode_number, _fixed_point, _parse_table
 
-from oracles import additive_map, bundle_items, per_value_table, small_value_table, valuation_map
+from oracles import (
+    additive_map,
+    bundle_items,
+    item_pairs,
+    per_value_table,
+    removal_masks,
+    small_value_table,
+    subset_max,
+    valuation_map,
+)
 
 DATA = Path(__file__).parent / "data"
 INT64_MAX = 2**63 - 1
@@ -223,81 +232,127 @@ def test_check_monotone_object_dtype_path():
     assert check_monotone([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) is None
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
-@pytest.mark.parametrize("m", range(1, 13))
+def _walked_pairs(arrays):
+    """(bundle, bundle plus item, bit) per covering pair that the walk
+    yields for `arrays` read, whose values are their bundles, as one sorted
+    int64 array of rows (bundle, superset, bit)."""
+    found = np.concatenate([
+        np.stack([lo.ravel(), hi.ravel(), np.full(lo.size, bit)], axis=1).astype(np.int64)
+        for bit, lo, hi in model._covering_halves(read=arrays)
+    ])
+    return found[np.lexsort(found.T[::-1])]
+
+
+def _covering_pairs(m):
+    """Every covering pair of the m-item lattice, in _walked_pairs' format."""
+    expected = np.concatenate(
+        [np.stack([lo, hi, hi - lo], axis=1) for lo, hi in item_pairs(m)]
+    ).astype(np.int64)
+    return expected[np.lexsort(expected.T[::-1])]
+
+
+@pytest.mark.parametrize(
+    "m, dtype",
+    [(m, dtype) for m in range(1, 19) for dtype in (np.int16, np.int32, np.int64)
+     if m < 16 or dtype != np.int16],
+)
 def test_covering_halves_yield_every_covering_pair_once(m, dtype):
     """Walking an arange table, whose values are the bundles, yields each
-    covering pair (b, b | bit) exactly once, column views included (from
-    m = 8 on, the narrow low items are walked column by column)."""
-    pairs = []
-    for bit, lo, hi in model._covering_halves(np.arange(1 << m, dtype=dtype)):
-        pairs += zip(lo.ravel().tolist(), hi.ravel().tolist(), [bit] * lo.size)
-    bits = [1 << i for i in range(m)]
-    expected = [(b, b | bit, bit) for bit in bits for b in range(1 << m) if not b & bit]
-    assert sorted(pairs) == sorted(expected)
+    covering pair (b, b | bit) exactly once, on tiles included (from m = 17
+    on, a lattice takes more than one tile)."""
+    assert np.array_equal(_walked_pairs([np.arange(1 << m, dtype=dtype)]), _covering_pairs(m))
 
 
-def test_covering_halves_walk_narrow_low_items_by_column():
-    """The low-item rule: an item yields one tuple per column when its
-    half-row is at most 8 bytes wide and each column holds at least 128 * bit
-    entries; the widest array sets the width."""
-    def column_bits(*arrays):
-        return [bit for bit, lo, *_ in model._covering_halves(*arrays) if lo.ndim == 1]
-
-    flags = np.zeros(1 << 12, dtype=bool)
-    assert column_bits(flags) == [1, 2, 2, 4, 4, 4, 4]
-    assert column_bits(flags.astype(np.int32)) == [1, 2, 2]
-    assert column_bits(flags, flags.astype(np.int64)) == [1]
-    assert column_bits(np.zeros(1 << 7, dtype=bool)) == []
-
-
-@pytest.mark.parametrize("rows, m, dtype", [(3, 8, np.int32), (4, 10, np.int16), (2, 12, np.int64)])
+@pytest.mark.parametrize(
+    "rows, m, dtype",
+    [
+        (3, 8, np.int32), (4, 10, np.int16), (2, 12, np.int64),
+        (6, 9, np.int32), (12, 13, np.int32), (6, 17, np.int32), (1, 17, np.int64),
+    ],
+)
 def test_covering_halves_walk_a_batch_row_by_row(rows, m, dtype):
     """On a (K, 2^m) batch every covering pair of every row appears exactly
-    once, and never across rows, through both cuts: the column rule counts
-    the entries of the whole batch."""
+    once, and never across rows, though a tile may hold several rows' entries."""
     batch = np.arange(rows << m, dtype=dtype).reshape(rows, 1 << m)
-    pairs, cuts = [], set()
-    for bit, lo, hi in model._covering_halves(batch):
-        assert lo.shape[0] == hi.shape[0] == rows
-        cuts.add(lo.ndim)
-        pairs += zip(lo.ravel().tolist(), hi.ravel().tolist(), [bit] * lo.size)
+    pairs = _walked_pairs([batch])
     # An entry's value is row * 2^m + bundle.
-    assert all(lo >> m == hi >> m for lo, hi, _ in pairs)
-    full = (1 << m) - 1
-    got = [(lo >> m, lo & full, hi & full, bit) for lo, hi, bit in pairs]
-    bits = [1 << i for i in range(m)]
-    expected = [
-        (k, b, b | bit, bit) for k in range(rows) for bit in bits for b in range(1 << m) if not b & bit
-    ]
-    assert sorted(got) == sorted(expected)
-    assert cuts == {2, 3}  # columns (K, rows) and halves (K, rows, bit)
+    assert np.array_equal(pairs[:, 0] >> m, pairs[:, 1] >> m)
+    # Sorted, the pairs come row by row.
+    offsets = np.arange(rows)[:, None, None] << m
+    got = pairs.reshape(rows, -1, 3) - offsets * np.array([1, 1, 0])
+    expected = _covering_pairs(m)
+    assert all(np.array_equal(row, expected) for row in got)
 
 
-def test_covering_halves_cut_batch_columns_by_total_entries():
-    def column_bits(array):
-        return [bit for bit, lo, _ in model._covering_halves(array) if lo.ndim == array.ndim]
+@pytest.mark.parametrize("rows", [1, 3, 6, 12, 80])
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 16, 17, 18])
+def test_covering_halves_walk_low_items_on_tiles(rows, m):
+    """The tile rule: the low ceil(m/2) items come once per tile of R rows of
+    2^ceil(m/2) bundles, R the largest power of two that divides the batch's
+    row count with R * 2^ceil(m/2) at most _TILE_ENTRIES (odd batches
+    included), each half made of contiguous runs of bit * R entries; the
+    high items come once, as halves of the whole batch."""
+    low = (m + 1) // 2
+    row_count = rows << (m - low)
+    seen = []
+    for bit, lo, hi in model._covering_halves(read=[np.zeros((rows, 1 << m), dtype=np.int32)]):
+        seen.append(bit)
+        if bit < 1 << low:
+            tile = lo.shape[-1] // bit
+            assert lo.ndim == 2 and lo.strides[-1] == lo.itemsize
+            assert lo.size == hi.size == tile << (low - 1)
+        else:
+            assert lo.shape == hi.shape == (rows, (1 << m) // (2 * bit), bit)
+    # R is the largest such power of two.
+    assert tile & (tile - 1) == 0 and row_count % tile == 0
+    assert tile << low <= model._TILE_ENTRIES
+    assert row_count % (2 * tile) or tile << low == model._TILE_ENTRIES
+    tiles = row_count // tile
+    assert seen == [1 << i for i in range(low)] * tiles + [1 << i for i in range(low, m)]
 
-    assert column_bits(np.zeros((4, 1 << 10), dtype=bool)) == column_bits(np.zeros(1 << 12, dtype=bool))
-    assert column_bits(np.zeros((1, 1 << 12), dtype=bool)) == [1, 2, 2, 4, 4, 4, 4]
 
-
-@pytest.mark.parametrize("m", [3, 8, 12])
+@pytest.mark.parametrize("m", [3, 8, 12, 17])
 def test_covering_halves_walk_several_arrays_in_step(m):
     below, above = np.zeros((2, 1 << m), dtype=np.int8)
-    for _, lo, _, _, hi in model._covering_halves(below, above):
+    for _, lo, _, _, hi in model._covering_halves(updated=[below, above]):
         lo += 1
         hi += 1
     weight = np.array([b.bit_count() for b in range(1 << m)])
     assert np.array_equal(above, weight) and np.array_equal(below, m - weight)
 
 
+@pytest.mark.parametrize("rows, m", [(1, 3), (1, 12), (6, 11), (12, 17), (1, 18)])
+def test_covering_halves_array_roles(rows, m):
+    """Read arrays are never written, updated arrays are read and written
+    back, and each seeded output starts from its seed, a scalar or a read
+    array, whatever it held before the walk."""
+    rng = np.random.default_rng(m)
+    table = rng.integers(0, 100, size=(rows, 1 << m)).astype(np.int32)
+    table.setflags(write=False)
+    counts = rng.integers(0, 5, size=(rows, 1 << m))
+    start = counts.copy()
+    lowest = np.full_like(table, -7)
+    highest = np.full_like(table, 12345)
+    walk = model._covering_halves(read=[table], updated=[counts], seeded=[(lowest, table), (highest, 0)])
+    for _, t_lo, _, c_lo, c_hi, _, low_hi, _, high_hi in walk:
+        c_hi += c_lo
+        np.minimum(low_hi, t_lo, out=low_hi)
+        np.maximum(high_hi, t_lo, out=high_hi)
+    expected_counts = start.copy()
+    expected_low, expected_high = table.copy(), np.zeros_like(table)
+    for lo, hi in item_pairs(m):
+        expected_counts[:, hi] += expected_counts[:, lo]
+        expected_low[:, hi] = np.minimum(expected_low[:, hi], table[:, lo])
+        expected_high[:, hi] = np.maximum(expected_high[:, hi], table[:, lo])
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(lowest, expected_low) and np.array_equal(highest, expected_high)
+
+
 @pytest.mark.parametrize("kind", ["int16", "int32", "int64", "list", "fraction"])
 @pytest.mark.parametrize("item", [0, 1, 2])
 def test_check_monotone_witness_in_a_nonzero_column(item, kind):
     """A single violation at `item`, in a nonzero row and (for items 1 and 2)
-    a nonzero column of the item's view, is the witness returned, on tables
-    large enough for the walk to split the low items into columns."""
+    a nonzero column of the item's view, is the witness returned."""
     m, bit = 12, 1 << item
     table = np.arange(1 << m) * 2
     small = (bit - 1) | 0b1010_0000_0000
@@ -313,6 +368,27 @@ def test_check_monotone_witness_in_a_nonzero_column(item, kind):
     assert (violation.subset, violation.superset) == (small, small | bit)
     assert violation.subset_value == converted[small]
     assert violation.superset_value == converted[small | bit]
+
+
+@pytest.mark.parametrize("kind", ["int32", "int64", "list"])
+def test_check_monotone_witness_is_the_least_item_across_tiles(kind):
+    """Violations at item 6 in the first tile, at item 3 twice in the last
+    tile (m = 18 takes four tiles) and at the high item 12: the walk meets
+    item 6's first, but the witness is still item 3's first violating
+    bundle."""
+    m = 18
+    table = np.arange(1 << m) * 2
+    # All items below the violating one are in each subset, so removing one
+    # more item breaks no other pair.
+    for item, high in ((6, 0), (3, 0b11 << 16), (3, 0b11 << 16 | 1 << 10), (12, 0)):
+        small = (1 << item) - 1 | high
+        table[small] = table[small | 1 << item] + 1
+    converted = {"int32": table.astype(np.int32), "int64": table, "list": table.tolist()}[kind]
+    small = 0b0111 | 0b11 << 16
+    assert small // model._TILE_ENTRIES == 3
+    violation = check_monotone(converted)
+    assert (violation.subset, violation.superset) == (small, small | 8)
+    assert (violation.subset_value, violation.superset_value) == (table[small], table[small | 8])
 
 
 def test_valuation_rejects_non_monotone_tables():
@@ -462,6 +538,41 @@ def test_save_load_round_trips_every_valuation(tmp_path, v):
     assert back.item_values == v.item_values
 
 
+def test_an_int32_table_is_copied_once_and_not_aliased():
+    """Valuation(m, int32 array) keeps the array at its width up to the one
+    copy: the traced peak is one table, not an int64 widening on top."""
+    table = random_monotone(20, 3).table.copy()
+    tracemalloc.start()
+    try:
+        v = Valuation(20, table, model.RANDOM_DENOM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.table.dtype == np.int32 and np.array_equal(v.table, table)
+    assert peak < 1.5 * table.nbytes
+    assert not np.shares_memory(v.table, table)
+    table[-1] = 0
+    assert v.table[-1] != 0
+
+
+def test_make_additive_seeds_item_values(monkeypatch):
+    """item_values of a fresh additive valuation come from make_additive,
+    with no second build of the table, and equal the values derived from
+    the table."""
+    calls = []
+    real = model._additive_table
+    monkeypatch.setattr(model, "_additive_table", lambda *args: calls.append(1) or real(*args))
+    v = make_additive([1, "1/2", 0, 3])
+    assert calls == [1]
+    seeded = v.item_values
+    assert calls == [1]
+    del v.__dict__["item_values"]
+    assert v.item_values == seeded == (1, Fraction(1, 2), 0, 3)
+    assert calls == [1, 1]
+    tight_ef1_instance(12).v1.item_values
+    assert calls == [1, 1, 1]
+
+
 def test_random_monotone_is_reproducible():
     a = random_monotone(6, 42)
     b = random_monotone(6, 42)
@@ -478,11 +589,7 @@ def _closure_table(m, seed):
     draw = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF).integers(
         0, model.RANDOM_DENOM, size=1 << m, dtype=np.int64
     )
-    table = draw.astype(np.int32)
-    bundles = np.arange(1 << m)
-    for i in range(m):
-        with_item = bundles[bundles >> i & 1 == 1]
-        table[with_item] = np.maximum(table[with_item], table[with_item ^ (1 << i)])
+    table = subset_max(draw.astype(np.int32))
     table[0] = 0
     return table
 
@@ -497,6 +604,40 @@ def test_random_tables_rows_are_random_monotone_tables(m):
         assert row.dtype == expected.dtype and np.array_equal(row, expected)
         table = random_monotone(m, seed).table
         assert table.dtype == np.int32 and np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_random_tables_draw_the_integers_stream(monkeypatch, m):
+    """Before the closure, row k holds default_rng(seed).integers(0, 2^30,
+    dtype=np.int64) for seeds[k] (empty bundle pinned to 0), seeds at and
+    past 2^63 included."""
+    seeds = [2**63, 2**63 + 5, 2**64 - 1, -1]
+    monkeypatch.setattr(model, "_covering_halves", lambda **arrays: iter(()))
+    tables = model._random_tables(m, seeds)
+    for row, seed in zip(tables, seeds):
+        draw = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF).integers(
+            0, model.RANDOM_DENOM, size=1 << m, dtype=np.int64
+        )
+        draw[0] = 0
+        assert np.array_equal(row, draw)
+
+
+@pytest.mark.parametrize(
+    "rows, m", [(1, m) for m in range(1, 19)] + [(rows, m) for rows in (6, 12) for m in range(1, 17)]
+)
+def test_sweeps_equal_the_whole_lattice_references(rows, m):
+    """The closure and both removal masks of a batch, on more than one tile
+    from m = 17 on (sooner for a batch), equal the item-by-item references
+    of tests/oracles.py on random and on tie-heavy tables."""
+    seeds = [derive_seed(m, rows, k) for k in range(rows)]
+    tables = model._random_tables(m, seeds)
+    draws = np.stack([_closure_table(m, seed) for seed in seeds])
+    assert np.array_equal(tables, draws)
+    ties = np.stack([small_value_table(m, seed % 1000) for seed in seeds]).astype(np.int32)
+    for batch in (tables, ties):
+        ef1, efx = removal_masks(batch)
+        assert np.array_equal(model._ef1_masks(batch), ef1)
+        assert np.array_equal(model._efx_masks(batch), efx)
 
 
 def test_random_monotone_passes_checks():
