@@ -178,6 +178,14 @@ def _additive_table(weights: Sequence[int], base: int, dtype) -> np.ndarray:
 # tiles of a sweep stay in a core's L2 cache.
 _TILE_ENTRIES = 1 << 16
 
+# numpy's ufunc buffer, in elements, while a walk runs (see _covering_halves).
+# numpy copies each operand whose contiguous runs are shorter than half its
+# buffer through that buffer: below 4096 elements at the default 8192, which
+# takes in most low items' runs in a tile and the first high item's. At 1024,
+# runs of 512 and more are read in place, and shorter ones are copied in
+# smaller pieces.
+_WALK_BUFSIZE = 1024
+
 
 def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     """Walk every covering pair of the bundle lattice, one item at a time:
@@ -212,6 +220,11 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     transposed in; an updated array's is transposed in and written back; a
     seeded output's is filled from its seed and written back, so the
     output is never read before the walk writes it.
+
+    From its first item on, the walk sets numpy's ufunc buffer to
+    _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
+    restores the caller's size when it is exhausted or closed, also when
+    the consumer stops early or raises.
     """
     arrays = [*read, *updated, *(out for out, _ in seeded)]
     lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
@@ -237,21 +250,29 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
         else seed
         for _, seed in seeded
     ]
-    for r in range(0, rows, tile):
-        for grid, buf in zip(grids[:loaded], bufs):
-            buf[...] = grid[r : r + tile].T
-        for seed, buf in zip(seeds, bufs[loaded:]):
-            buf[...] = seed
-        yield from tile_halves
-        for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
-            grid[r : r + tile] = buf.T
-    for i in range(low, m):
-        bit = 1 << i
-        halves = [bit]
-        for a in arrays:
-            view = a.reshape(*lead, -1, 2 * bit)
-            halves += (view[..., :bit], view[..., bit:])
-        yield tuple(halves)
+    # A tile is transposed 16 columns at a time: numpy copies that faster
+    # than one transpose of the whole tile.
+    block = min(16, 1 << low)
+    blocked = [buf.reshape(-1, block, tile) for buf in bufs]
+    saved = np.setbufsize(_WALK_BUFSIZE)
+    try:
+        for r in range(0, rows, tile):
+            for grid, buf in zip(grids[:loaded], blocked):
+                buf[...] = grid[r : r + tile].reshape(tile, -1, block).transpose(1, 2, 0)
+            for seed, buf in zip(seeds, bufs[loaded:]):
+                buf[...] = seed
+            yield from tile_halves
+            for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
+                grid[r : r + tile] = buf.T
+        for i in range(low, m):
+            bit = 1 << i
+            halves = [bit]
+            for a in arrays:
+                view = a.reshape(*lead, -1, 2 * bit)
+                halves += (view[..., :bit], view[..., bit:])
+            yield tuple(halves)
+    finally:
+        np.setbufsize(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +454,11 @@ def _efx_masks(tables: np.ndarray) -> np.ndarray:
     return _removal_mask(tables, 0, np.maximum)
 
 
+# Rows of bundles at least this long take _removal_mask's chunked compare;
+# at this length it and one backward compare cost the same.
+_CHUNKED_COMPARE_ROW = 1 << 13
+
+
 def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     """Read-only mask of bundles b with t[..., b] >= thresh[..., c], c = b's
     complement, after one sweep folds t over one-item removals into
@@ -440,11 +466,30 @@ def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     last axis, and each leading index is its own table. `thresh` is the
     walk's seeded output: `seed` (t itself, or a scalar) is the
     definition's value before any removal, filled in tile by tile, so no
-    seeded copy of the tables is made."""
+    seeded copy of the tables is made.
+
+    Rows of at least _CHUNKED_COMPARE_ROW bundles compare forward, chunk
+    by chunk: each chunk of bundles meets a forward copy of its
+    complements' chunk, in a scratch of at most _TILE_ENTRIES entries. One
+    compare that read such rows backwards would cost about 1.5 times as
+    much. Shorter rows compare at once, as numpy's ufunc buffer copies
+    their reversed runs in pieces anyway, and the loop would only add its
+    set-up."""
     thresh = np.empty(t.shape, dtype=t.dtype)
     for _, t_lo, _, _, th_hi in _covering_halves(read=[t], seeded=[(thresh, seed)]):
         reduce(th_hi, t_lo, out=th_hi)
-    mask = t >= thresh[..., ::-1]
+    n = t.shape[-1]
+    if n < _CHUNKED_COMPARE_ROW:
+        mask = t >= thresh[..., ::-1]
+    else:
+        mask = np.empty(t.shape, dtype=bool)
+        width = max(1, min(n, _TILE_ENTRIES * n // t.size))
+        scratch = np.empty((*t.shape[:-1], width), dtype=t.dtype)
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            mirrored = scratch[..., : stop - start]
+            mirrored[...] = thresh[..., n - stop : n - start][..., ::-1]
+            np.greater_equal(t[..., start:stop], mirrored, out=mask[..., start:stop])
     mask.setflags(write=False)
     return mask
 

@@ -342,6 +342,34 @@ def test_efx_partition_is_first_scan_hit():
         assert side == first_two_sided_efx(v)
 
 
+def _efx_partition_cases(m):
+    """Random tables, tie-heavy tables, and tight_efx_instance's table,
+    whose only two-sided EFX split is the last bundle without item m-1."""
+    yield from (random_monotone(m, seed) for seed in range(3))
+    yield from (Valuation(m, small_value_table(m, 17 * m + k)) for k in range(3))
+    yield tight_efx_instance(m).v1
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_efx_partition_equals_the_full_scan(monkeypatch, m):
+    """The block scan returns the full scan's first two-sided EFX bundle
+    (tests/oracles.py) whatever the first block's size, late hits included:
+    the tight instance's hit is the last bundle of the last block."""
+    for v in _efx_partition_cases(m):
+        first = first_two_sided_efx(v)
+        for block in (1, 3, census._EFX_SCAN_BLOCK):
+            monkeypatch.setattr(census, "_EFX_SCAN_BLOCK", block)
+            assert efx_partition(v) == (first, complement(first, m))
+    assert first == (1 << (m - 1)) - 1
+
+
+def test_efx_partition_raises_without_a_two_sided_split():
+    v = random_monotone(10, 3)
+    v.__dict__["efx_mask"] = np.zeros(1 << 10, dtype=bool)
+    with pytest.raises(RuntimeError, match="no two-sided EFX split"):
+        efx_partition(v)
+
+
 def test_cut_and_choose_examples():
     assert cut_and_choose_efx(tight_efx_instance(3)) == ((0b011, 0b100), (0b100, 0b011))
     pair = make_additive([1, 1])
@@ -459,6 +487,20 @@ def test_words_pack_masks_and_their_reversal(m):
         assert words.shape == (3, max(1, (1 << m) // 64))
         bits = (words[..., :, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)).reshape(3, -1)
         assert np.array_equal(bits[:, : 1 << m], expected) and not bits[:, 1 << m :].any()
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4), (4, 1)])
+def test_popcounts_count_every_set_bit(shape):
+    """Per row along the last axis, the set bits of random words, with 0
+    and 2^64 - 1 among them, as bin() counts them."""
+    rng = np.random.default_rng(sum(shape))
+    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    words.ravel()[:2] = [0, 2**64 - 1][: words.size]
+    expected = [sum(bin(w).count("1") for w in row) for row in words.reshape(-1, shape[-1]).tolist()]
+    got = census._popcounts(words)
+    assert got.shape == shape[:-1] and got.dtype == np.int64
+    assert got.ravel().tolist() == expected
+    assert census._popcounts(np.array([0, 2**64 - 1, 1 << 63], dtype="<u8")) == 65
 
 
 def _census_cases(m):

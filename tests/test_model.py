@@ -348,6 +348,47 @@ def test_covering_halves_array_roles(rows, m):
     assert np.array_equal(lowest, expected_low) and np.array_equal(highest, expected_high)
 
 
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size of the caller's own, neither numpy's default nor
+    the walk's, restored after the test."""
+    saved = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(saved)
+
+
+@pytest.mark.parametrize("m", [3, 12, 17])
+def test_covering_walk_runs_under_its_buffer_and_restores_the_callers(caller_bufsize, m):
+    """While the walk is suspended, its consumer's ufuncs run with
+    _WALK_BUFSIZE; once it is exhausted, the caller's buffer size is back."""
+    sizes = [np.getbufsize() for _ in model._covering_halves(read=[np.zeros(1 << m)])]
+    assert sizes == [model._WALK_BUFSIZE] * len(sizes) and len(sizes) >= m
+    assert np.getbufsize() == caller_bufsize
+
+
+def test_check_monotone_restores_the_buffer_when_it_stops_early(caller_bufsize):
+    """A violation in the first of four tiles stops the walk early; the
+    witness is the least violating item's, and the buffer is the caller's."""
+    table = np.arange(1 << 18) * 2
+    table[0b11] = table[0b111] + 1
+    violation = check_monotone(table)
+    assert (violation.subset, violation.superset) == (0b11, 0b111)
+    assert np.getbufsize() == caller_bufsize
+
+
+def test_covering_walk_restores_the_buffer_when_closed_or_its_consumer_raises(caller_bufsize):
+    walk = model._covering_halves(updated=[np.zeros(1 << 17, dtype=np.int32)])
+    next(walk)
+    assert np.getbufsize() == model._WALK_BUFSIZE
+    walk.close()
+    assert np.getbufsize() == caller_bufsize
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        for bit, lo, hi in model._covering_halves(read=[np.zeros(1 << 17)]):
+            if bit == 4:
+                raise RuntimeError("consumer failed")
+    assert np.getbufsize() == caller_bufsize
+
+
 @pytest.mark.parametrize("kind", ["int16", "int32", "int64", "list", "fraction"])
 @pytest.mark.parametrize("item", [0, 1, 2])
 def test_check_monotone_witness_in_a_nonzero_column(item, kind):
