@@ -205,8 +205,9 @@ def _class_census(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Below 64 bundles, the padding bits past the last bundle stay clear.
     too_small[..., -1] &= np.uint64((1 << min(1 << m, 64)) - 1)
     above = np.empty_like(too_small)
-    walk = model._covering_halves(read=[too_small], seeded=[(above, 0)])
-    for _, small_lo, _, _, above_hi in walk:
+    for _, small_lo, _, _, above_hi in model._covering_halves(
+        read=[too_small], seeded=[(above, 0)]
+    ):
         above_hi |= small_lo
     for i in range(min(m, 6)):
         above |= too_small << np.uint64(1 << i) & _WORD_ITEM_BITS[i]

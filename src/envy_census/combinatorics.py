@@ -296,8 +296,9 @@ def is_sperner(family: Iterable[int]) -> bool:
     # above[b]: some member is a proper subset of b. Sweeping item i adds the
     # members and marked bundles one item below, so marks compound upward.
     above = np.zeros_like(members)
-    walk = model._covering_halves(read=[members], updated=[above])
-    for _, members_lo, _, above_lo, above_hi in walk:
+    for _, members_lo, _, above_lo, above_hi in model._covering_halves(
+        read=[members], updated=[above]
+    ):
         above_hi |= above_lo
         above_hi |= members_lo
     return not np.any(above & members)

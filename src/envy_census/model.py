@@ -224,7 +224,11 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     From its first item on, the walk sets numpy's ufunc buffer to
     _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
     restores the caller's size when it is exhausted or closed, also when
-    the consumer stops early or raises.
+    the consumer stops early or raises. A walk started while another is
+    open leaves the restore to that one, so walks that end in any order
+    leave the caller's size. Consumers iterate the walk in their `for`
+    statement: a walk bound to a name would stay open, and keep the
+    buffer, for as long as a traceback holds the consumer's frame.
     """
     arrays = [*read, *updated, *(out for out, _ in seeded)]
     lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
@@ -272,7 +276,8 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
                 halves += (view[..., :bit], view[..., bit:])
             yield tuple(halves)
     finally:
-        np.setbufsize(saved)
+        if saved != _WALK_BUFSIZE:
+            np.setbufsize(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +459,6 @@ def _efx_masks(tables: np.ndarray) -> np.ndarray:
     return _removal_mask(tables, 0, np.maximum)
 
 
-# Rows of bundles at least this long take _removal_mask's chunked compare;
-# at this length it and one backward compare cost the same.
-_CHUNKED_COMPARE_ROW = 1 << 13
-
-
 def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     """Read-only mask of bundles b with t[..., b] >= thresh[..., c], c = b's
     complement, after one sweep folds t over one-item removals into
@@ -468,28 +468,22 @@ def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     definition's value before any removal, filled in tile by tile, so no
     seeded copy of the tables is made.
 
-    Rows of at least _CHUNKED_COMPARE_ROW bundles compare forward, chunk
-    by chunk: each chunk of bundles meets a forward copy of its
-    complements' chunk, in a scratch of at most _TILE_ENTRIES entries. One
-    compare that read such rows backwards would cost about 1.5 times as
-    much. Shorter rows compare at once, as numpy's ufunc buffer copies
-    their reversed runs in pieces anyway, and the loop would only add its
-    set-up."""
+    The compare runs forward, chunk by chunk: each chunk of bundles meets
+    a forward copy of its complements' chunk, in a scratch of at most
+    _TILE_ENTRIES entries. One compare that read long rows backwards would
+    cost about 1.5 times as much."""
     thresh = np.empty(t.shape, dtype=t.dtype)
     for _, t_lo, _, _, th_hi in _covering_halves(read=[t], seeded=[(thresh, seed)]):
         reduce(th_hi, t_lo, out=th_hi)
     n = t.shape[-1]
-    if n < _CHUNKED_COMPARE_ROW:
-        mask = t >= thresh[..., ::-1]
-    else:
-        mask = np.empty(t.shape, dtype=bool)
-        width = max(1, min(n, _TILE_ENTRIES * n // t.size))
-        scratch = np.empty((*t.shape[:-1], width), dtype=t.dtype)
-        for start in range(0, n, width):
-            stop = min(start + width, n)
-            mirrored = scratch[..., : stop - start]
-            mirrored[...] = thresh[..., n - stop : n - start][..., ::-1]
-            np.greater_equal(t[..., start:stop], mirrored, out=mask[..., start:stop])
+    mask = np.empty(t.shape, dtype=bool)
+    width = max(1, min(n, _TILE_ENTRIES * n // t.size))
+    scratch = np.empty((*t.shape[:-1], width), dtype=t.dtype)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        mirrored = scratch[..., : stop - start]
+        mirrored[...] = thresh[..., n - stop : n - start][..., ::-1]
+        np.greater_equal(t[..., start:stop], mirrored, out=mask[..., start:stop])
     mask.setflags(write=False)
     return mask
 

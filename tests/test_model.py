@@ -389,6 +389,21 @@ def test_covering_walk_restores_the_buffer_when_closed_or_its_consumer_raises(ca
     assert np.getbufsize() == caller_bufsize
 
 
+@pytest.mark.parametrize("first_to_end", [0, 1])
+def test_covering_walks_that_overlap_leave_the_callers_buffer(caller_bufsize, first_to_end):
+    """Two open walks end in either order. While the first one started is
+    open, the buffer is the walk's; once both have ended, it is the
+    caller's."""
+    walks = [model._covering_halves(read=[np.zeros(1 << 12)]) for _ in range(2)]
+    for walk in walks:
+        next(walk)
+    walks.pop(first_to_end).close()
+    if first_to_end == 1:
+        assert np.getbufsize() == model._WALK_BUFSIZE
+    walks.pop().close()
+    assert np.getbufsize() == caller_bufsize
+
+
 @pytest.mark.parametrize("kind", ["int16", "int32", "int64", "list", "fraction"])
 @pytest.mark.parametrize("item", [0, 1, 2])
 def test_check_monotone_witness_in_a_nonzero_column(item, kind):
