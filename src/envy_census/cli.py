@@ -7,6 +7,7 @@ Exit codes: 0 all checks hold, 1 usage error, 2 input validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -98,17 +99,13 @@ def _value_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def _usage_error(command: str, message: str) -> int:
     print(f"{command}: error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
 def _cannot_write(command: str, path: str, exc: OSError) -> int:
-    """Report an output path that cannot be opened for writing: a usage error."""
+    """Report an output path that cannot be opened or written: a usage error."""
     return _usage_error(command, f"cannot write {path}: {exc.strerror or exc}")
 
 
@@ -199,9 +196,9 @@ def _verify_batch(task: tuple[int, tuple[int, ...]]) -> list[tuple[tuple, bool]]
             report.ef1_count,
             report.efx_count,
             report.bound,
-            _fmt_bool(ef1_ok),
-            _fmt_bool(efx_ok),
-            _fmt_bool(report.separation_ok),
+            str(ef1_ok).lower(),
+            str(efx_ok).lower(),
+            str(report.separation_ok).lower(),
             elapsed_ms,
         )
         rows.append((fields, ef1_ok and efx_ok and report.separation_ok))
@@ -222,7 +219,7 @@ def _cmd_verify(args) -> int:
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     except OSError as exc:
         return _cannot_write("verify", args.out, exc)
-    try:
+    with out if args.out else contextlib.nullcontext():
         start = time.perf_counter()
         # Rows keep their order whatever the worker count; the cap bounds the forks.
         jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
@@ -234,12 +231,16 @@ def _cmd_verify(args) -> int:
             results = [_verify_batch(batch) for batch in batches]
         rows = [row for result in results for row in result]
         rate = len(rows) / max(time.perf_counter() - start, 1e-9)
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(fields for fields, _ in rows)
-    finally:
-        if args.out:
-            out.close()
+        try:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(fields for fields, _ in rows)
+            if args.out:
+                out.close()
+        except OSError as exc:
+            if not args.out:
+                raise  # stdout: see main
+            return _cannot_write("verify", args.out, exc)
     # fields: m, seed, ef1_count, efx_count, bound, ...
     stats = (
         f"{rate:.1f} rows/s, "
@@ -370,7 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `| head` closed stdout: devnull takes the final flush ("Note on SIGPIPE", signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -50,21 +50,14 @@ class InstanceFormatError(ValueError):
 # bundles
 
 
-def _integer(x) -> int | None:
-    """x as an int when operator.index takes it and it is not a bool, else None."""
-    if isinstance(x, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(x)
-    except TypeError:
-        return None
-
-
 def _int_in(x, lo: int | None, hi: int | None, what: str) -> int:
-    """x as an int; ValueError naming `what` unless it is an integer (see
-    `_integer`) in lo..hi. A None bound leaves that side open; with hi None,
-    lo is None, 0 or 1."""
-    n = _integer(x)
+    """x as an int; ValueError naming `what` unless it is an integer (not a
+    bool, and operator.index takes it) in lo..hi. A None bound leaves that
+    side open; with hi None, lo is None, 0 or 1."""
+    try:
+        n = None if isinstance(x, (bool, np.bool_)) else operator.index(x)
+    except TypeError:
+        n = None
     if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
         if hi is None:
             span = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[lo]
@@ -311,6 +304,8 @@ def check_monotone(table) -> MonotoneViolation | None:
     checking covering pairs suffices because any violating subset pair
     contains a violating covering step. Otherwise returns one offending
     pair, in the caller's values (int64, Python ints or Fractions alike).
+    One covering walk finds both the answer and that witness: the least
+    item whose halves decrease, at its first violation in bundle order.
 
     >>> check_monotone([0, 1, 1, 2]) is None
     True
@@ -324,19 +319,14 @@ def check_monotone(table) -> MonotoneViolation | None:
         raise ValueError("table length must be a power of two")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
-    if not any(np.any(hi < lo) for _, lo, hi in _covering_halves(read=[arr])):
+    bits = [bit for bit, lo, hi in _covering_halves(read=[arr]) if np.any(hi < lo)]
+    if not bits:
         return None
-    # The witness: the least violating item's first violation in bundle
-    # order, from the item's whole (rows, 2 * bit) view, whatever tile the
-    # walk found a violation in.
-    for i in range(arr.size.bit_length() - 1):
-        bit = 1 << i
-        view = arr.reshape(-1, 2 * bit)
-        below = view[:, bit:] < view[:, :bit]
-        if below.any():
-            flat = int(np.argmax(below))
-            small = (flat // bit) * 2 * bit + flat % bit
-            return MonotoneViolation(small, small + bit, arr[small], arr[small + bit])
+    bit = min(bits)
+    view = arr.reshape(-1, 2 * bit)
+    flat = int(np.argmax(view[:, bit:] < view[:, :bit]))
+    small = (flat // bit) * 2 * bit + flat % bit
+    return MonotoneViolation(small, small + bit, arr[small], arr[small + bit])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +511,7 @@ def as_fraction(x) -> Fraction:
     Strings may be decimals ("0.25"), ratios ("2/3"), or scientific
     notation with an exponent of at most MAX_DECIMAL_EXPONENT in magnitude;
     floats contribute their exact binary value. Infinities and NaN raise
-    ValueError.
+    ValueError, as does a zero denominator ("1/0").
 
     >>> as_fraction("0.25")
     Fraction(1, 4)
@@ -550,7 +540,7 @@ def as_fraction(x) -> Fraction:
         raise TypeError(f"cannot interpret {x!r} as an exact number")
     try:
         return Fraction(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise ValueError(f"cannot interpret {x!r} as a finite number") from None
 
 
@@ -746,19 +736,20 @@ def _parse_table(raw: list) -> tuple[np.ndarray, int]:
 
 
 def _agent_from_dict(data, m: int, which: int) -> Valuation:
+    if not isinstance(data, dict):
+        raise InstanceFormatError(f"agent {which} must be a JSON object")
     try:
         kind = data["kind"]
         raw = data["values"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise InstanceFormatError(f"agent {which}: missing {exc}") from exc
     if not isinstance(raw, list):
         raise InstanceFormatError(f"agent {which}: values must be a list")
-    if kind == "additive" and len(raw) != m:
-        raise InstanceFormatError(f"agent {which}: additive needs {m} values, got {len(raw)}")
-    if kind == "table" and len(raw) != 1 << m:
-        raise InstanceFormatError(f"agent {which}: table needs 2^{m} values, got {len(raw)}")
     if kind not in ("additive", "table"):
         raise InstanceFormatError(f"agent {which}: unknown kind {kind!r}")
+    size, shown = (m, m) if kind == "additive" else (1 << m, f"2^{m}")
+    if len(raw) != size:
+        raise InstanceFormatError(f"agent {which}: {kind} needs {shown} values, got {len(raw)}")
     try:
         if kind == "additive":
             return make_additive(raw)

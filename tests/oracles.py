@@ -70,6 +70,33 @@ def class_census(ef1):
     return too_small.sum(axis=-1), good.sum(axis=-1), ~crossing
 
 
+def monotone_tables(m, k):
+    """Every normalized monotone table on m items with values 0..k, as a
+    (count, 2^m) int32 array. Built by doubling: a monotone table on i + 1
+    items is a pair lo <= hi, entry for entry, of monotone tables on i
+    items (the bundles without and with item i); only the empty bundle's
+    value is pinned, at the end."""
+    tables = np.arange(k + 1, dtype=np.int32)[:, None]
+    for _ in range(m):
+        lo, hi = np.nonzero((tables[:, None, :] <= tables[None, :, :]).all(axis=-1))
+        tables = np.concatenate([tables[lo], tables[hi]], axis=-1)
+    return tables[tables[:, 0] == 0]
+
+
+def first_violation(table):
+    """(subset, superset) of a table's first failure to be normalized and
+    monotone, or None: (0, 0) when the empty bundle is not worth 0, else the
+    least item i, and for it the least bundle b without i, with
+    table[b | 2^i] < table[b]."""
+    if table[0] != 0:
+        return 0, 0
+    for i in range(len(table).bit_length() - 1):
+        for b in range(len(table)):
+            if not b >> i & 1 and table[b | 1 << i] < table[b]:
+                return b, b | 1 << i
+    return None
+
+
 def per_value_table(raw):
     """(int64 numerators, denominator) of a table's entries, each parsed on
     its own, in order: the per-entry codec that the library's

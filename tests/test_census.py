@@ -51,6 +51,8 @@ from oracles import (
     efx_ok,
     first_two_sided_efx,
     min_cross_distance,
+    monotone_tables,
+    removal_masks,
     small_value_table,
     valuation_map,
 )
@@ -527,6 +529,36 @@ def test_packed_class_census_and_pair_counts_equal_the_references(m):
         other = masks[::-1]
         pairs = (masks & other[:, ::-1]).sum(axis=-1)
         assert np.array_equal(census._pair_counts(masks, other), pairs)
+
+
+@pytest.mark.parametrize(
+    "m, k, tables, distinct_ef1, distinct_efx, efx_minimal_pairs",
+    [(4, 1, 167, 23, 51, 4), (5, 1, 7_580, 328, 1_335, 5), (4, 2, 7_413, 23, 69, 88)],
+)
+def test_every_small_monotone_table(m, k, tables, distinct_ef1, distinct_efx, efx_minimal_pairs):
+    """Every normalized monotone table with values 0..k, ties everywhere,
+    through the batch path: its masks and class census equal the oracles',
+    every table is separated, and over ordered pairs of distinct masks the
+    fewest EF1 allocations are f_ef1(m) and the fewest EFX allocations 2,
+    reached by a known number of pairs."""
+    batch = monotone_tables(m, k)
+    assert len(batch) == tables
+    ef1, efx = model._ef1_masks(batch), model._efx_masks(batch)
+    expected_ef1, expected_efx = removal_masks(batch)
+    assert np.array_equal(ef1, expected_ef1) and np.array_equal(efx, expected_efx)
+    got = census._class_census(ef1)
+    for g, e in zip(got, class_census(ef1)):
+        assert np.array_equal(g, e)
+    assert got[2].all()
+    counts = {}
+    for name, masks in (("ef1", ef1), ("efx", efx)):
+        distinct = np.unique(masks, axis=0).astype(np.int64)
+        # Entry (a, b): bundles in mask a whose complements are in mask b.
+        counts[name] = distinct @ distinct[:, ::-1].T
+    assert (len(counts["ef1"]), len(counts["efx"])) == (distinct_ef1, distinct_efx)
+    assert counts["ef1"].min() == f_ef1(m)
+    assert counts["efx"].min() == 2
+    assert np.count_nonzero(counts["efx"] == 2) == efx_minimal_pairs
 
 
 # ---------------------------------------------------------------------------

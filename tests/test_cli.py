@@ -216,6 +216,32 @@ def test_count_rejects_values_outside_fixed_point(tmp_path, capsys, value):
     assert out == "" and "invalid instance: agent 1:" in err
 
 
+@pytest.mark.parametrize("kind, values", [("table", [0, "1/0"]), ("additive", ["0/0"])])
+def test_count_zero_denominator_exits_2(tmp_path, capsys, kind, values):
+    path = tmp_path / "zero.json"
+    agent = {"kind": kind, "values": values}
+    path.write_text(json.dumps({"m": 1, "agents": [agent, {"kind": "additive", "values": [1]}]}))
+    code, out, err = run_cli(capsys, "count", str(path))
+    assert code == 2 and out == ""
+    assert err == f"count: invalid instance: agent 1: cannot interpret {values[-1]!r} as a finite number\n"
+
+
+def test_gen_zero_denominator_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "additive", "--m", "1", "--values", "1/0"])
+    assert exc.value.code == 1
+    assert "expected comma-separated numbers, got '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent", [["x"], "x", None])
+def test_count_non_object_agent_exits_2(tmp_path, capsys, agent):
+    path = tmp_path / "agent.json"
+    path.write_text(json.dumps({"m": 1, "agents": [agent, {"kind": "additive", "values": [1]}]}))
+    code, out, err = run_cli(capsys, "count", str(path))
+    assert code == 2 and out == ""
+    assert err == "count: invalid instance: agent 1 must be a JSON object\n"
+
+
 def test_verify_small_range(capsys):
     code, out, err = run_cli(capsys, "verify", "--m-range", "1..3", "--trials", "2", "--seed", "1")
     assert code == 0
@@ -396,6 +422,37 @@ def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monke
         )
         assert code == 1 and out == ""
         assert err.startswith(f"verify: error: cannot write {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_verify_failed_write_exits_1(capsys):
+    """A device that takes no bytes fails the CSV's writes or its close."""
+    code, out, err = run_cli(capsys, "verify", "--m-range", "1..3", "--trials", "2", "--out", "/dev/full")
+    assert code == 1 and out == ""
+    assert err == "verify: error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "count"])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, capsys, command):
+    """The reader closes stdout after the first line, as `| head -1` does,
+    while more than 100 kB are still to come: more than a pipe holds."""
+    if command == "verify":
+        argv = ["verify", "--m-range", "2..12", "--trials", "300"]
+    else:
+        path = tmp_path / "tight.json"
+        assert run_cli(capsys, "gen", "tight-ef1", "--m", "18", "--out", str(path))[0] == 0
+        argv = ["count", str(path), "--list", "good"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "envy_census", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first == (",".join(CSV_COLUMNS) if command == "verify" else "511") + "\n"
+    assert err == ""
 
 
 def test_count_deeply_nested_file_exits_2(tmp_path, capsys):

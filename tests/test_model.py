@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pickle
 import re
@@ -50,7 +51,9 @@ from envy_census.model import _encode_number, _fixed_point, _parse_table
 from oracles import (
     additive_map,
     bundle_items,
+    first_violation,
     item_pairs,
+    monotone_tables,
     per_value_table,
     removal_masks,
     small_value_table,
@@ -366,9 +369,10 @@ def test_covering_walk_runs_under_its_buffer_and_restores_the_callers(caller_buf
     assert np.getbufsize() == caller_bufsize
 
 
-def test_check_monotone_restores_the_buffer_when_it_stops_early(caller_bufsize):
-    """A violation in the first of four tiles stops the walk early; the
-    witness is the least violating item's, and the buffer is the caller's."""
+def test_check_monotone_restores_the_buffer_after_a_violation(caller_bufsize):
+    """A violation in the first of four tiles: the walk still runs to the
+    end, the witness is the least violating item's, and the buffer is the
+    caller's."""
     table = np.arange(1 << 18) * 2
     table[0b11] = table[0b111] + 1
     violation = check_monotone(table)
@@ -936,7 +940,7 @@ def test_as_fraction_rejects_huge_exponents_quickly():
     assert as_fraction("-3e-4300") == Fraction(-3, 10**4300)
 
 
-@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "abc", ""])
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "abc", "", "1/0", "0/0", "-3/0"])
 def test_as_fraction_rejects_non_numbers(text):
     with pytest.raises(ValueError, match="as a finite number"):
         as_fraction(text)
@@ -1020,6 +1024,28 @@ def test_negative_int64_edge_loads_exactly():
     data["agents"][0]["values"] = [0, INT64_MIN - 1]
     with pytest.raises(InstanceFormatError, match="64-bit"):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_check_monotone_on_every_small_table(m):
+    """Every table with values 0..2 on m items, monotone or not: the
+    witness is the oracle's first violation (least item, then first
+    bundle), with the table's own values, and the tables that pass are
+    exactly the oracle's normalized monotone ones."""
+    passing = []
+    for values in itertools.product(range(3), repeat=1 << m):
+        table = np.array(values, dtype=np.int64)
+        got = check_monotone(table)
+        assert check_monotone(list(values)) == got
+        expected = first_violation(values)
+        if expected is None:
+            assert got is None
+            passing.append(values)
+            continue
+        assert (got.subset, got.superset) == expected
+        assert (got.subset_value, got.superset_value) == (values[got.subset], values[got.superset])
+        assert type(got.subset_value) is np.int64 and type(got.superset_value) is np.int64
+    assert passing == sorted(map(tuple, monotone_tables(m, 2).tolist()))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
