@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -224,6 +223,9 @@ def _cmd_verify(args) -> int:
         # Rows keep their order whatever the worker count; the cap bounds the forks.
         jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
         if jobs > 1:
+            # Imported here: multiprocessing would add to every command's start-up.
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, len(batches) // (jobs * 4))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_verify_batch, batches, chunksize=chunk))
@@ -374,10 +376,13 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # `| head` closed stdout: devnull takes the final flush ("Note on SIGPIPE", signal docs).
+    except OSError as exc:
+        # stdout takes no more bytes: `| head` closed it, or a full device.
+        # devnull takes the final flush ("Note on SIGPIPE", signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_USAGE  # the reader left on purpose: nothing to report
+        return _cannot_write(args.command, "stdout", exc)
     return code
 
 

@@ -678,7 +678,10 @@ def tight_efx_instance(m: int) -> Instance:
 # round-trip exactly. Bundles everywhere in I/O are integers in [0, 2^m),
 # item 0 being the least-significant bit. A monotone table repeats its values
 # heavily, so reading and writing a table cost one parse or encode per
-# distinct value, plus one gather over the 2^m entries.
+# distinct value, plus one gather over the 2^m entries. The writer keeps the
+# layout of json.dumps(..., indent=2), one value per line, but joins each
+# agent's gathered JSON tokens itself: with an indent, json encodes every
+# value in pure Python.
 
 
 def _encode_number(num: int, den: int):
@@ -687,22 +690,45 @@ def _encode_number(num: int, den: int):
     return num // g if g == den else f"{num // g}/{den // g}"
 
 
-def _agent_to_dict(v: Valuation) -> dict:
+def _json_token(num: int, den: int) -> str:
+    """The JSON text of _encode_number(num, den)."""
+    return json.dumps(_encode_number(num, den))
+
+
+def _agent_values(v: Valuation, encode) -> tuple[str, list]:
+    """(kind, values) of an agent in the file format, each value written by
+    `encode(numerator, denominator)`: once per item of an additive
+    valuation; once per distinct numerator of a table, then gathered over
+    its 2^m entries through an object array."""
     if v.item_values is not None:
-        values = [_encode_number(x.numerator, x.denominator) for x in v.item_values]
-        return {"kind": "additive", "values": values}
+        return "additive", [encode(x.numerator, x.denominator) for x in v.item_values]
     distinct, index = np.unique(v.table, return_inverse=True)
-    encoded = np.array([_encode_number(n, v.denom) for n in distinct.tolist()], dtype=object)
-    return {"kind": "table", "values": encoded[index].tolist()}
+    encoded = np.array([encode(n, v.denom) for n in distinct.tolist()], dtype=object)
+    return "table", encoded[index].tolist()
 
 
 def instance_to_dict(inst: Instance) -> dict:
     """JSON-ready dict in the instance file format."""
-    return {"m": inst.m, "agents": [_agent_to_dict(inst.v1), _agent_to_dict(inst.v2)]}
+    agents = []
+    for v in (inst.v1, inst.v2):
+        kind, values = _agent_values(v, _encode_number)
+        agents.append({"kind": kind, "values": values})
+    return {"m": inst.m, "agents": agents}
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    """The instance file text: json.dumps(instance_to_dict(inst), indent=2)
+    and a newline, built with one join over each agent's JSON tokens."""
+    parts = [f'{{\n  "m": {inst.m},\n  "agents": [\n']
+    for v in (inst.v1, inst.v2):
+        kind, tokens = _agent_values(v, _json_token)
+        parts += [
+            f'    {{\n      "kind": "{kind}",\n      "values": [\n        ',
+            ",\n        ".join(tokens),
+            "\n      ]\n    },\n",
+        ]
+    parts[-1] = "\n      ]\n    }\n  ]\n}\n"
+    return "".join(parts)
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -5,13 +5,14 @@ pipelines: set functions live in dicts keyed by frozensets, fairness
 predicates spell out their definitions over those dicts, counting is a plain
 scan, and the extremal-set-theory answers come from exhaustive enumeration.
 """
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
 
 import numpy as np
 
-from envy_census.model import _fixed_point, as_fraction
+from envy_census.model import _fixed_point, as_fraction, instance_to_dict
 
 
 def bundle_items(bits, m):
@@ -103,6 +104,12 @@ def per_value_table(raw):
     one-parse-per-distinct-value reader must match."""
     numers, denom = _fixed_point([as_fraction(x) for x in raw])
     return np.array(numers, dtype=np.int64), denom
+
+
+def dumps_reference(inst):
+    """The instance file text as json's own indent encoder writes it: the
+    layout the library's one-join writer must match byte for byte."""
+    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
 
 
 def valuation_map(v):

@@ -561,6 +561,64 @@ def test_every_small_monotone_table(m, k, tables, distinct_ef1, distinct_efx, ef
     assert np.count_nonzero(counts["efx"] == 2) == efx_minimal_pairs
 
 
+@pytest.mark.parametrize("m, k", [(4, 1), (5, 1), (4, 2)])
+def test_cut_and_choose_on_every_small_monotone_table(m, k):
+    """cut_and_choose_efx on every table of a family paired with itself,
+    where both agents propose the same split, and with the family's last
+    table (every nonempty bundle worth k), where the proposals sometimes
+    differ: two distinct allocations, each EFX for both agents by the
+    oracle."""
+    items = frozenset(range(m))
+    full = (1 << m) - 1
+    bundle_sets = [bundle_items(b, m) for b in range(1 << m)]
+    tables = monotone_tables(m, k)
+    agents = [(Valuation(m, t), dict(zip(bundle_sets, t.tolist()))) for t in tables]
+    fixed = agents[-1]
+    coinciding = 0
+    for agent in agents:
+        for (v1, u1), (v2, u2) in ((agent, agent), (agent, fixed)):
+            first, second = cut_and_choose_efx(Instance(v1, v2))
+            assert first != second
+            for bundle_1, bundle_2 in (first, second):
+                assert bundle_2 == full ^ bundle_1
+                assert efx_ok(u1, items, bundle_sets[bundle_1])
+                assert efx_ok(u2, items, bundle_sets[bundle_2])
+            if v2 is v1:
+                assert second == first[::-1]
+            coinciding += second == first[::-1]
+    # Against the fixed table, both of the chooser's branches ran.
+    assert len(agents) < coinciding < 2 * len(agents)
+
+
+def _relabelled(array, axes):
+    """A bundle-indexed array with its items relabelled: one transpose of
+    the array seen as a (2,)*m cube."""
+    m = array.shape[-1].bit_length() - 1
+    return np.transpose(array.reshape((2,) * m), axes).reshape(-1)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_relabelling_items_or_swapping_agents_keeps_the_census(m):
+    """On random and tie-heavy instances: relabelling the items leaves the
+    census report unchanged and permutes each class mask the same way;
+    swapping the agents leaves both allocation counts unchanged."""
+    rng = np.random.default_rng(m)
+    for k in range(3):
+        tie_heavy = [Valuation(m, small_value_table(m, 40 * m + 2 * k + j)) for j in range(2)]
+        for inst in (random_instance(m, 20 * m + k), Instance(*tie_heavy)):
+            report = census_report(inst)
+            agents = (inst.v1, inst.v2)
+            for axes in (np.arange(m)[::-1], rng.permutation(m)):
+                moved = [Valuation(m, _relabelled(v.table, axes), v.denom) for v in agents]
+                assert census_report(Instance(*moved)) == report
+                for v, w in zip(agents, moved):
+                    classes = census._bundle_classes(v.ef1_mask)
+                    for cls, moved_cls in zip(classes, census._bundle_classes(w.ef1_mask)):
+                        assert np.array_equal(_relabelled(cls, axes), moved_cls)
+            swapped = census_report(Instance(inst.v2, inst.v1))
+            assert (swapped.ef1_count, swapped.efx_count) == (report.ef1_count, report.efx_count)
+
+
 # ---------------------------------------------------------------------------
 # table dtypes
 

@@ -377,10 +377,13 @@ class _SerialPool:
     [("100000", 4, 2), ("100000", 64, 2), ("3", 64, 2), ("2", 1, None), ("2", None, None)],
 )
 def test_verify_caps_worker_count(capsys, monkeypatch, jobs, cpus, expected):
+    import concurrent.futures
+
     import envy_census.cli as cli_module
 
     monkeypatch.setattr(_SerialPool, "max_workers", [])
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _SerialPool)
+    # `verify` imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
     argv = ("verify", "--m-range", "1..2", "--trials", "3", "--seed", "4")
     _, serial, _ = run_cli(capsys, *argv)
@@ -453,6 +456,37 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, capsys, comman
     assert proc.wait() == 1
     assert first == (",".join(CSV_COLUMNS) if command == "verify" else "511") + "\n"
     assert err == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["gen", "count"])
+def test_full_stdout_exits_1_with_one_line(tmp_path, capsys, command):
+    """A stdout that takes no bytes gives one stderr line, and Python's own
+    flush at exit adds no "Exception ignored" report."""
+    if command == "gen":
+        argv = ["gen", "tight-ef1", "--m", "3"]
+    else:
+        path = tmp_path / "inst.json"
+        assert run_cli(capsys, "gen", "random-monotone", "--m", "5", "--out", str(path))[0] == 0
+        argv = ["count", str(path)]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "envy_census", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"{command}: error: cannot write stdout: No space left on device\n"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """Only `verify --jobs` above 1 needs a process pool; no command's
+    start-up pays for importing one."""
+    probe = (
+        "import sys, envy_census.cli; "
+        "print([name for name in ('multiprocessing', 'concurrent.futures.process') if name in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_count_deeply_nested_file_exits_2(tmp_path, capsys):

@@ -51,6 +51,7 @@ from envy_census.model import _encode_number, _fixed_point, _parse_table
 from oracles import (
     additive_map,
     bundle_items,
+    dumps_reference,
     first_violation,
     item_pairs,
     monotone_tables,
@@ -1162,6 +1163,63 @@ def test_load_dump_load_is_exact_on_an_all_distinct_table():
         assert a.denom == b.denom
         assert np.array_equal(a.table, b.table)
     assert dumps_instance(second) == dumps_instance(first)
+
+
+# ---------------------------------------------------------------------------
+# the writer against json's own indent encoder
+
+
+def _check_writer(inst):
+    """dumps_instance writes the reference text, and instance_to_dict writes
+    each value as _encode_number does, entry by entry."""
+    assert dumps_instance(inst) == dumps_reference(inst)
+    for v, agent in zip((inst.v1, inst.v2), instance_to_dict(inst)["agents"]):
+        if agent["kind"] == "additive":
+            expected = [_encode_number(x.numerator, x.denominator) for x in v.item_values]
+        else:
+            expected = [_encode_number(n, v.denom) for n in v.table.tolist()]
+        assert agent["values"] == expected
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_writer_matches_the_reference_on_random_instances(m):
+    for seed in range(3):
+        _check_writer(random_instance(m, seed))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_writer_matches_the_reference_on_tight_instances(m):
+    _check_writer(tight_ef1_instance(m))
+    _check_writer(tight_efx_instance(m))
+
+
+@pytest.mark.parametrize(
+    "values_1, values_2",
+    [
+        (["1/3", "1/4", "5/6"], ["1/3", "1/4", "5/6"]),
+        ([0.25, "2/7", 3], ["1/2", 0, f"{INT64_MAX // 8}/7"]),
+        (["3/2"], [0]),
+    ],
+)
+def test_writer_matches_the_reference_on_fractional_additive_pairs(values_1, values_2):
+    _check_writer(Instance(make_additive(values_1), make_additive(values_2)))
+
+
+def test_writer_matches_the_reference_on_an_int64_table():
+    m = 10
+    numers = small_value_table(m, 3) * (1 << 29)
+    numers[-1] = 2**31 + 5
+    v = Valuation(m, numers, 3)
+    assert v.table.dtype == np.int64 and v.item_values is None
+    _check_writer(Instance(v, random_monotone(m, 4)))
+
+
+def test_writer_matches_the_reference_on_every_small_monotone_table():
+    """Every table with values 0..2 on 4 items, additive or not, paired
+    with itself."""
+    for table in monotone_tables(4, 2):
+        v = Valuation(4, table)
+        _check_writer(Instance(v, v))
 
 
 @pytest.mark.parametrize(
