@@ -23,8 +23,8 @@ and the separation check moves bits within a word for items 0..5 and
 walks the word arrays' own covering halves for the other items.
 
 Every class list and check reads the bundle classes from
-`_bundle_classes`, the class census builds the same classes on words, and
-both constructions pair proposals in `_pairings`.
+`_bundle_classes`, every partition list names a split by
+`_canonical_half`, and both constructions pair proposals in `_pairings`.
 """
 from __future__ import annotations
 
@@ -130,16 +130,14 @@ def f_ef1(m: int) -> int:
 def s_max(m: int) -> int:
     """Largest s for which the size-s Hamming balls (see `a_hamming_ball`)
     around the full and the empty bundle stay at distance >= 2: the bound
-    Harper's inequality puts on a too-small class, which makes
+    Harper's inequality puts on a too-small class, read off
     2^m - 2*s_max(m) == f_ef1(m).
 
     >>> s_max(4), s_max(5), s_max(1)
     (5, 10, 0)
     """
     m = model._int_in(m, 1, None, "item count")
-    k = m // 2
-    s = sum(binom(m, t) for t in range(k))
-    return s if m % 2 == 0 or not k else s + binom(m - 1, k - 1)
+    return ((1 << m) - f_ef1(m)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +152,18 @@ class SetSystems(NamedTuple):
     good: set[int]
 
 
-def _bundle_classes(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(too_small, too_large, good): the three bundle classes read off EF1
-    masks, as boolean arrays of their shape (bundles along the last axis)."""
-    good = ef1 & ef1[..., ::-1]
+def _bundle_classes(ef1, mirrored=None) -> tuple:
+    """(too_small, too_large, good) from the EF1 flags of bundles and of
+    their complements, `mirrored` (by default the reversed mask), alike on
+    numpy booleans, boolean masks (bundles along the last axis) and packed
+    words (see `_words`), whose padding bits come out too-small."""
+    good = ef1 & (ef1[..., ::-1] if mirrored is None else mirrored)
     return ~ef1, ef1 ^ good, good
+
+
+def _canonical_half(mask: np.ndarray) -> np.ndarray:
+    """The first half of the last axis: the bundles without item m-1, which name the splits."""
+    return mask[..., : mask.shape[-1] // 2]
 
 
 def extract_set_systems(v: Valuation) -> SetSystems:
@@ -190,18 +195,15 @@ def verify_separation(v: Valuation) -> bool:
 
 def _class_census(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(too-small count, good count, verify_separation) per row of EF1 masks
-    (bundles along the last axis), from one build of their classes on
-    packed words (see `_words`); counts come from `_popcounts`. The
+    (bundles along the last axis), from `_bundle_classes` on packed words
+    (see `_words`); counts come from `_popcounts`. The
     check marks every bundle one item above a too-small bundle, and looks
     for a too-large one among them: items 0..5 move bits within a word, by
     a shift and a mask; items 6 and up are the items of the word lattice,
     walked by `model._covering_halves` with the marks as its seeded
     output."""
     m = ef1.shape[-1].bit_length() - 1
-    words = _words(ef1)
-    good = words & _words(ef1, reverse=True)
-    too_large = words ^ good
-    too_small = ~words
+    too_small, too_large, good = _bundle_classes(_words(ef1), _words(ef1, reverse=True))
     # Below 64 bundles, the padding bits past the last bundle stay clear.
     too_small[..., -1] &= np.uint64((1 << min(1 << m, 64)) - 1)
     above = np.empty_like(too_small)
@@ -230,8 +232,7 @@ def list_ef1_partitions(v: Valuation) -> set[int]:
     >>> list_ef1_partitions(make_additive([1]))
     {0}
     """
-    good = _bundle_classes(v.ef1_mask)[2]
-    return _mask_to_set(good[: good.size // 2])
+    return _mask_to_set(_canonical_half(_bundle_classes(v.ef1_mask)[2]))
 
 
 def _preferred_side(v: Valuation, rep: int, full: int) -> int:
@@ -274,15 +275,14 @@ def combine_ef1_partitions(
     p1, p2 = (set(arr.tolist()) for arr in arrays)
     for agent, (arr, pset, v) in enumerate(zip(arrays, (p1, p2), (inst.v1, inst.v2)), start=1):
         # One array check: the range, then one lookup of the good class.
-        good = _bundle_classes(v.ef1_mask)[2]
-        half = good.size // 2
-        canonical = (arr >= 0) & (arr < half)
+        good = _canonical_half(_bundle_classes(v.ef1_mask)[2])
+        canonical = (arr >= 0) & (arr < good.size)
         ok = canonical & good[np.where(canonical, arr, 0).astype(np.int64)]
         if not ok.all():
             # Name the first bad representative in set order.
             bad = set(arr[~ok].tolist())
             rep = next(rep for rep in pset if rep in bad)
-            if not 0 <= rep < half:
+            if not 0 <= rep < good.size:
                 raise ValueError(f"{rep} is not a {what} for m={inst.m}")
             raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
     return set(_pairings(inst, p1, p2))
@@ -309,14 +309,14 @@ def efx_partition(v: Valuation) -> tuple[int, int]:
     (1, 2)
     """
     efx = v.efx_mask
-    n = efx.size
-    start, stop = 0, min(_EFX_SCAN_BLOCK, n // 2)
+    half, mirrored = _canonical_half(efx), efx[::-1]
+    start, stop = 0, min(_EFX_SCAN_BLOCK, half.size)
     while start < stop:
-        both = efx[start:stop] & efx[n - stop : n - start][::-1]
+        both = half[start:stop] & mirrored[start:stop]
         if both.any():
             first = start + int(np.argmax(both))
             return first, model.complement(first, v.m)
-        start, stop = stop, min(2 * stop, n // 2)
+        start, stop = stop, min(2 * stop, half.size)
     raise RuntimeError(
         "no two-sided EFX split exists; the valuation table must be corrupt"
     )

@@ -159,14 +159,9 @@ def _cmd_count(args) -> int:
         return EXIT_VALIDATION
     if args.list is not None:
         v = inst.v2 if args.agent == 2 else inst.v1
-        too_small, too_large, good = census._bundle_classes(v.ef1_mask)
-        chosen = {
-            "good": good,
-            "too-small": too_small,
-            "too-large": too_large,
-            "ef1-partitions": good[: good.size // 2],
-        }[args.list]
-        sys.stdout.writelines(f"{b}\n" for b in np.flatnonzero(chosen).tolist())
+        lists = dict(zip(("too-small", "too-large", "good"), census._bundle_classes(v.ef1_mask)))
+        lists["ef1-partitions"] = census._canonical_half(lists["good"])
+        sys.stdout.writelines(f"{b}\n" for b in np.flatnonzero(lists[args.list]).tolist())
         return EXIT_OK
     report = census.census_report(inst, args.fairness or "both")
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -227,8 +222,11 @@ def _cmd_verify(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             chunk = max(1, len(batches) // (jobs * 4))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_verify_batch, batches, chunksize=chunk))
+            try:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    results = list(pool.map(_verify_batch, batches, chunksize=chunk))
+            except OSError as exc:
+                return _usage_error("verify", f"cannot start worker processes: {exc.strerror or exc}")
         else:
             results = [_verify_batch(batch) for batch in batches]
         rows = [row for result in results for row in result]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .census import _bundle_classes
 from .model import Instance, Valuation, _bundle, full_bundle, make_additive
 
 
@@ -73,9 +74,7 @@ def classify_bundle(v: Valuation, bundle: int) -> BundleClass:
     'too-large'
     """
     b = _bundle(bundle, v.m)
-    ef1 = v.ef1_mask
-    if not ef1[b]:
+    too_small, too_large, _ = _bundle_classes(v.ef1_mask[b], v.ef1_mask[b ^ full_bundle(v.m)])
+    if too_small:
         return BundleClass.TOO_SMALL
-    if ef1[b ^ full_bundle(v.m)]:
-        return BundleClass.GOOD
-    return BundleClass.TOO_LARGE
+    return BundleClass.TOO_LARGE if too_large else BundleClass.GOOD

@@ -247,15 +247,11 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
         else seed
         for _, seed in seeded
     ]
-    # A tile is transposed 16 columns at a time: numpy copies that faster
-    # than one transpose of the whole tile.
-    block = min(16, 1 << low)
-    blocked = [buf.reshape(-1, block, tile) for buf in bufs]
     saved = np.setbufsize(_WALK_BUFSIZE)
     try:
         for r in range(0, rows, tile):
-            for grid, buf in zip(grids[:loaded], blocked):
-                buf[...] = grid[r : r + tile].reshape(tile, -1, block).transpose(1, 2, 0)
+            for grid, buf in zip(grids[:loaded], bufs):
+                buf[...] = grid[r : r + tile].T
             for seed, buf in zip(seeds, bufs[loaded:]):
                 buf[...] = seed
             yield from tile_halves
@@ -306,6 +302,7 @@ def check_monotone(table) -> MonotoneViolation | None:
     pair, in the caller's values (int64, Python ints or Fractions alike).
     One covering walk finds both the answer and that witness: the least
     item whose halves decrease, at its first violation in bundle order.
+    Non-real values raise TypeError, and a NaN ValueError naming its bundle.
 
     >>> check_monotone([0, 1, 1, 2]) is None
     True
@@ -317,6 +314,10 @@ def check_monotone(table) -> MonotoneViolation | None:
     arr = np.asarray(table)
     if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
         raise ValueError("table length must be a power of two")
+    if arr.dtype.kind in "cSUVMm":
+        raise TypeError(f"table values must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind in "fO" and (nan := np.flatnonzero(arr != arr)).size:
+        raise ValueError(f"bundle {nan[0]} has value {arr[nan[0]]}, not a number")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
     bits = [bit for bit, lo, hi in _covering_halves(read=[arr]) if np.any(hi < lo)]

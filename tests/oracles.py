@@ -160,6 +160,15 @@ def count_allocations(inst, predicate):
     return total
 
 
+def s_max_by_levels(m):
+    """Harper's cap on a too-small class as a sum of binomials: the sizes of
+    every level below m/2 and, for odd m > 1, C(m-1, (m-3)/2) bundles of
+    level (m-1)/2."""
+    k = m // 2
+    s = sum(comb(m, t) for t in range(k))
+    return s if m % 2 == 0 or not k else s + comb(m - 1, k - 1)
+
+
 def ef1_partition_reps(v):
     """Canonical representatives (no item m-1) of two-sided EF1 partitions."""
     m = v.m

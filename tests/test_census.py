@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import time
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +54,7 @@ from oracles import (
     min_cross_distance,
     monotone_tables,
     removal_masks,
+    s_max_by_levels,
     small_value_table,
     valuation_map,
 )
@@ -138,6 +140,18 @@ def test_s_max_leaves_exactly_f_ef1_bundles():
         assert (1 << m) - 2 * s_max(m) == f_ef1(m)
     with pytest.raises(ValueError):
         s_max(0)
+
+
+def test_s_max_matches_the_binomial_sum():
+    for m in range(1, 301):
+        assert s_max(m) == s_max_by_levels(m)
+
+
+@pytest.mark.parametrize("bound", [f_ef1, s_max])
+def test_bounds_are_closed_forms_at_large_m(bound):
+    start = time.perf_counter()
+    bound(20000)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +503,32 @@ def test_words_pack_masks_and_their_reversal(m):
         assert words.shape == (3, max(1, (1 << m) // 64))
         bits = (words[..., :, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)).reshape(3, -1)
         assert np.array_equal(bits[:, : 1 << m], expected) and not bits[:, 1 << m :].any()
+
+
+def _assert_one_class_cut(masks):
+    """`_bundle_classes` cuts the same three classes from boolean masks
+    (bundles along the last axis), from their packed words, unpacked back
+    to bundles, and from each bundle's two flags as numpy scalars."""
+    n = masks.shape[-1]
+    vectors = census._bundle_classes(masks)
+    words = census._bundle_classes(census._words(masks), census._words(masks, reverse=True))
+    for vector, word in zip(vectors, words):
+        bits = np.unpackbits(word.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+        assert np.array_equal(bits[..., :n].astype(bool), vector)
+    for row, row_classes in zip(masks, zip(*vectors)):
+        for b in range(n):
+            scalars = census._bundle_classes(row[b], row[n - 1 - b])
+            assert all(isinstance(c, np.bool_) for c in scalars)
+            assert [bool(c) for c in scalars] == [bool(c[b]) for c in row_classes]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_bundle_classes_agree_on_scalars_vectors_and_words(m):
+    _assert_one_class_cut(np.random.default_rng(m).random((3, 1 << m)) < 0.6)
+
+
+def test_bundle_classes_agree_on_every_small_monotone_table():
+    _assert_one_class_cut(model._ef1_masks(monotone_tables(4, 2)))
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4), (4, 1)])

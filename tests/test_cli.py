@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -369,6 +371,34 @@ class _SerialPool:
 
     def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
+
+
+class _PoolFailsToStart(_SerialPool):
+    def __init__(self, max_workers):
+        raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+
+class _PoolFailsToMap(_SerialPool):
+    def map(self, fn, tasks, chunksize=1):
+        raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+
+@pytest.mark.parametrize("pool", [_PoolFailsToStart, _PoolFailsToMap])
+def test_verify_reports_worker_processes_that_cannot_start(capfd, monkeypatch, pool):
+    """One stderr line and exit 1, and stdout stays usable for the caller."""
+    import concurrent.futures
+
+    import envy_census.cli as cli_module
+
+    monkeypatch.setattr(_SerialPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    code = main(["verify", "--m-range", "1..2", "--trials", "3", "--jobs", "2"])
+    print("after verify")
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert err == f"verify: error: cannot start worker processes: {os.strerror(errno.ENOSYS)}\n"
+    assert out == "after verify\n"
 
 
 # The grid of --m-range 1..2 is two batches (one per m), so at most two workers.

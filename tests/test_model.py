@@ -236,6 +236,35 @@ def test_check_monotone_object_dtype_path():
     assert check_monotone([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) is None
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [0, "a"],
+        [0, b"a"],
+        np.zeros(2, dtype="V4"),
+        np.array([0, 1], dtype="datetime64[D]"),
+        [0, 1 + 0j, 1j, 2],
+    ],
+)
+def test_check_monotone_rejects_non_numbers(table):
+    with pytest.raises(TypeError, match="table values must be real numbers"):
+        check_monotone(table)
+
+
+@pytest.mark.parametrize(
+    "table, bundle",
+    [
+        ([0, float("nan")], 1),
+        ([float("nan"), 0], 0),
+        (np.array([0, 1, np.nan, np.nan]), 2),
+        (np.array([0, Fraction(1, 2), 1, float("nan")], dtype=object), 3),
+    ],
+)
+def test_check_monotone_rejects_nan_naming_its_bundle(table, bundle):
+    with pytest.raises(ValueError, match=f"^bundle {bundle} has value nan, not a number$"):
+        check_monotone(table)
+
+
 def _walked_pairs(arrays):
     """(bundle, bundle plus item, bit) per covering pair that the walk
     yields for `arrays` read, whose values are their bundles, as one sorted
