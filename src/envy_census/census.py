@@ -181,14 +181,15 @@ def verify_separation(v: Valuation) -> bool:
     too-large bundle; vacuously true when either class is empty.
 
     Checked without pairwise scans. The classes are disjoint (too-large
-    bundles are EF1), so distance < 2 would need a covering pair across them.
-    For a monotone valuation EF1 is closed upward: moving an item into a
-    bundle cannot lower its value, nor raise the value of its complement or
-    of the complement less any one item. So
-    too-small bundles form a down-set and too-large bundles, the complements
-    of too-small ones among the EF1 bundles, an up-set. A covering pair
-    across the classes therefore runs upward from a too-small bundle to a
-    too-large one, and one sweep per item looks only in that direction.
+    bundles are EF1), so distance < 2 would need a covering pair across them:
+    a too-small bundle s, with complement c, and a too-large one an item i
+    away. The EF1 definition alone, for any table, rules out the upward step
+    to s + i: s too-small gives v(s) < v(c - i), and s + i too-large makes
+    c - i too-small, which gives v(c - i) < v(s). Monotonicity rules out the
+    downward step to s - i: EF1 is then closed upward, so too-small bundles
+    form a down-set and s - i is too-small too. Every `Valuation` is
+    monotone, so the flag guards the mask sweep: one sweep per item looks
+    for an upward step, which only a wrong EF1 mask could hold.
     """
     return bool(_class_census(v.ef1_mask)[2])
 

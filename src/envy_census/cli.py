@@ -52,43 +52,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _bounded_int(lo: int, hi: int | None = None):
-    """argparse type for an integer in lo..hi (no upper limit when hi is None)."""
+def _bounded_int(lo: int | None, hi: int | None, what: str):
+    """argparse type for an integer in lo..hi under `model._int_in`'s rule
+    and message; text that `int` cannot parse reaches it as the text."""
 
     def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            text = int(text)
         try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if n < lo or (hi is not None and n > hi):
-            raise argparse.ArgumentTypeError(
-                f"expected an integer in {lo}..{'' if hi is None else hi}, got {n}"
-            )
-        return n
+            return model._int_in(text, lo, hi, what)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
     return parse
 
 
-_positive_int = _bounded_int(1)
-_seed = _bounded_int(model.MIN_SEED, model.MAX_SEED)
+_item_count = _bounded_int(1, model.MAX_ITEMS, "item count")
+_seed = _bounded_int(model.MIN_SEED, model.MAX_SEED, "seed")
 
 
 def _m_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
-    if not 1 <= lo <= hi <= model.MAX_ITEMS:
-        raise argparse.ArgumentTypeError(
-            f"need 1 <= A <= B <= {model.MAX_ITEMS}, got {text!r}"
-        )
-    return lo, hi
+    """A..B, or A alone for A..A, as item counts with A <= B."""
+    a, dots, b = text.partition("..")
+    lo = _item_count(a)
+    return lo, _bounded_int(lo, model.MAX_ITEMS, "item count")(b if dots else a)
 
 
 def _value_list(text: str) -> list:
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write an instance file")
     p.add_argument("kind", choices=GEN_KINDS)
-    p.add_argument("--m", type=_bounded_int(1, model.MAX_ITEMS), required=True, help="number of items")
+    p.add_argument("--m", type=_item_count, required=True, help="number of items")
     p.add_argument("--seed", type=_seed, help="seed for random-monotone (default: 0)")
     p.add_argument("--values", type=_value_list, help="agent 1 item values (additive)")
     p.add_argument("--values2", type=_value_list, help="agent 2 item values (defaults to --values)")
@@ -337,32 +324,36 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("good", "too-small", "too-large", "ef1-partitions"),
         help="emit the chosen bundle list as newline-delimited integers instead of the JSON report",
     )
-    p.add_argument("--agent", type=int, choices=(1, 2), help="agent for --list (default: 1)")
+    p.add_argument(
+        "--agent", type=_bounded_int(1, 2, "agent"), metavar="{1,2}", help="agent for --list (default: 1)"
+    )
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="check guaranteed bounds on random instances")
     p.add_argument("--m-range", type=_m_range, required=True, metavar="A..B")
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--trials", type=_bounded_int(1, None, "trials"), required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default: 1)")
+    p.add_argument(
+        "--jobs", type=_bounded_int(1, None, "jobs"), default=1, help="parallel workers (default: 1)"
+    )
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("shadow", help="level-dropping shadow bound")
-    p.add_argument("--n", type=_bounded_int(0), required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n", type=_bounded_int(0, None, "n"), required=True)
+    p.add_argument("--k", type=_bounded_int(1, None, "k"), required=True)
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("cascade", help="strictly-decreasing binomial decomposition")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n", type=_bounded_int(1, None, "n"), required=True)
+    p.add_argument("--k", type=_bounded_int(1, None, "k"), required=True)
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser(
         "harper", help="ball-replacement distance check on random and too-small/too-large system pairs"
     )
-    p.add_argument("--m", type=_bounded_int(1, 20), required=True)
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--m", type=_bounded_int(1, 20, "item count"), required=True)
+    p.add_argument("--trials", type=_bounded_int(1, None, "trials"), required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_harper)
 

@@ -295,9 +295,9 @@ def is_sperner(family: Iterable[int]) -> bool:
     (members,) = _bundle_vectors(family)
     # above[b]: some member is a proper subset of b. Sweeping item i adds the
     # members and marked bundles one item below, so marks compound upward.
-    above = np.zeros_like(members)
+    above = np.empty_like(members)
     for _, members_lo, _, above_lo, above_hi in model._covering_halves(
-        read=[members], updated=[above]
+        read=[members], seeded=[(above, 0)]
     ):
         above_hi |= above_lo
         above_hi |= members_lo

@@ -94,11 +94,10 @@ def _bundle_array(xs, what: str = "bundle") -> np.ndarray:
             if isinstance(x, (bool, np.bool_)):
                 raise ValueError(f"{what} must be an integer, not a bool, got {x!r}")
         items = list(map(operator.index, items))
-    # Python ints infer a signed dtype exactly when they all fit int64.
-    arr = np.array(items, dtype=None if items else np.int64)
-    if arr.dtype.kind != "i":
+    try:
+        return np.array(items, dtype=np.int64)
+    except OverflowError:
         return np.array(items, dtype=object)
-    return arr.astype(np.int64, copy=False)
 
 
 def _check_item_count(m, lo: int = 1) -> int:

@@ -46,6 +46,7 @@ from oracles import (
     bundle_items,
     class_census,
     classification_systems,
+    item_pairs,
     count_allocations,
     ef1_ok,
     ef1_partition_reps,
@@ -205,6 +206,21 @@ def test_verify_separation_matches_pairwise_distances():
     for v in _separation_cases():
         too_small, too_large, _ = classification_systems(v)
         assert verify_separation(v) == (min_cross_distance(too_small, too_large) >= 2)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_no_ef1_mask_of_a_raw_table_has_an_upward_crossing(m):
+    """On any table, monotone or not, no too-large bundle lies one item above
+    a too-small one: the EF1 definition alone rules that step out (see
+    verify_separation). The downward step, which monotonicity rules out,
+    does occur on raw tables."""
+    tables = np.random.default_rng(m).integers(0, 6, size=(1000, 1 << m))
+    too_small, too_large, _ = census._bundle_classes(model._ef1_masks(tables))
+    upward = downward = False
+    for lo, hi in item_pairs(m):
+        upward |= (too_small[:, lo] & too_large[:, hi]).any()
+        downward |= (too_small[:, hi] & too_large[:, lo]).any()
+    assert not upward and downward
 
 
 # ---------------------------------------------------------------------------

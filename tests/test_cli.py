@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from envy_census import census_report, derive_seed, load_instance, random_instance
-from envy_census.cli import CSV_COLUMNS, main
+from envy_census.cli import CSV_COLUMNS, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -433,6 +433,72 @@ def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--m-range", "1..25", "--trials", "1"])
     assert exc.value.code == 1
+
+
+INT_TEXTS = ["0", "-1", "25", "1.5", "abc", "", " 3 ", "+3", "1_0", "2"]
+_SEEDS = {"0", "-1", "25", " 3 ", "+3", "1_0", "2"}
+_NONNEGATIVE = _SEEDS - {"-1"}
+_POSITIVE = _NONNEGATIVE - {"0"}
+_ITEM_COUNTS = _POSITIVE - {"25"}
+# (valid command line, integer option appended to it, the option's name in
+# messages, accepted texts); a repeated option takes its last value.
+INT_OPTIONS = [
+    (["gen", "random-monotone", "--m", "1"], "--m", "item count", _ITEM_COUNTS),
+    (["gen", "random-monotone", "--m", "1"], "--seed", "seed", _SEEDS),
+    (["count", "x.json", "--list", "good"], "--agent", "agent", {"2"}),
+    (["verify", "--m-range", "1", "--trials", "1"], "--trials", "trials", _POSITIVE),
+    (["verify", "--m-range", "1", "--trials", "1"], "--seed", "seed", _SEEDS),
+    (["verify", "--m-range", "1", "--trials", "1"], "--jobs", "jobs", _POSITIVE),
+    (["shadow", "--n", "1", "--k", "1"], "--n", "n", _NONNEGATIVE),
+    (["shadow", "--n", "1", "--k", "1"], "--k", "k", _POSITIVE),
+    (["cascade", "--n", "1", "--k", "1"], "--n", "n", _POSITIVE),
+    (["cascade", "--n", "1", "--k", "1"], "--k", "k", _POSITIVE),
+    (["harper", "--m", "1", "--trials", "1"], "--m", "item count", _ITEM_COUNTS),
+    (["harper", "--m", "1", "--trials", "1"], "--trials", "trials", _POSITIVE),
+    (["harper", "--m", "1", "--trials", "1"], "--seed", "seed", _SEEDS),
+]
+M_RANGE_TEXTS = ["5", "2..7", "7..2", "0..3", "1..25", "5..", "..5", "1..2..3", "a..b"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, what, texts, accepted",
+    [
+        pytest.param(
+            argv, option, what, INT_TEXTS, {text: int(text) for text in accepted}, id=f"{argv[0]} {option}"
+        )
+        for argv, option, what, accepted in INT_OPTIONS
+    ]
+    + [
+        pytest.param(
+            ["verify", "--m-range", "1", "--trials", "1"],
+            "--m-range",
+            "item count",
+            M_RANGE_TEXTS,
+            {"5": (5, 5), "2..7": (2, 7)},
+            id="verify --m-range",
+        )
+    ],
+)
+def test_integer_options_follow_the_library_rule(capsys, monkeypatch, argv, option, what, texts, accepted):
+    """Each integer option takes exactly the texts `int` parses to a value in
+    its range; any other text exits 1 with a one-line usage and one error
+    line carrying `model._int_in`'s message."""
+    monkeypatch.setenv("COLUMNS", "200")  # keep the usage on one line
+    dest = option.lstrip("-").replace("-", "_")
+    for text in texts:
+        if text in accepted:
+            assert getattr(build_parser().parse_args([*argv, option, text]), dest) == accepted[text]
+            continue
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, option, text])
+        assert exc.value.code == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: envy-census {argv[0]} ")
+        assert re.fullmatch(
+            rf"envy-census {argv[0]}: error: argument {option}: {what} must be "
+            r"(in -?\d+\.\.\d+|a positive integer|a nonnegative integer), got .+",
+            error,
+        ), error
 
 
 def test_gen_unwritable_output_exits_1(tmp_path, capsys):
