@@ -3,6 +3,11 @@ bound verification with a CSV experiment log, and combinatorics queries.
 
 Exit codes: 0 all checks hold, 1 usage error, 2 input validation error,
 3 a verified assertion failed (reproducer seeds are printed to stderr).
+
+A result, to `--out` or stdout, is written and flushed before anything
+else goes to stderr, so `verify`'s summary line follows a fully written
+CSV. A result write that fails is one stderr line and exit 1, reported
+in `main` alone; a stdout pipe whose reader has gone ends quietly.
 """
 from __future__ import annotations
 
@@ -90,9 +95,15 @@ def _usage_error(command: str, message: str) -> int:
     return EXIT_USAGE
 
 
-def _cannot_write(command: str, path: str, exc: OSError) -> int:
-    """Report an output path that cannot be opened or written: a usage error."""
-    return _usage_error(command, f"cannot write {path}: {exc.strerror or exc}")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A command's result stream: `path` opened at once, so a bad path fails
+    before any work, or stdout without one. Either is flushed on the way
+    out, so a failed write raises before the command's summary; `main`
+    reports it."""
+    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        yield out
+        out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +131,8 @@ def _cmd_gen(args) -> int:
             return _usage_error("gen", str(exc))
     else:
         inst = model.random_instance(args.m, args.seed or 0)
-    if args.out:
-        try:
-            model.save_instance(inst, args.out)
-        except OSError as exc:
-            return _cannot_write("gen", args.out, exc)
-    else:
-        sys.stdout.write(model.dumps_instance(inst))
+    with _output(args.out) as out:
+        out.write(model.dumps_instance(inst))
     return EXIT_OK
 
 
@@ -196,11 +202,7 @@ def _cmd_verify(args) -> int:
         size = max(1, VERIFY_BATCH_ENTRIES >> (m + 1))
         batches += [(m, tuple(seeds[i : i + size])) for i in range(0, len(seeds), size)]
     # The output opens first, so a bad path fails before any row is computed.
-    try:
-        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    except OSError as exc:
-        return _cannot_write("verify", args.out, exc)
-    with out if args.out else contextlib.nullcontext():
+    with _output(args.out) as out:
         start = time.perf_counter()
         # Rows keep their order whatever the worker count; the cap bounds the forks.
         jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
@@ -218,16 +220,9 @@ def _cmd_verify(args) -> int:
             results = [_verify_batch(batch) for batch in batches]
         rows = [row for result in results for row in result]
         rate = len(rows) / max(time.perf_counter() - start, 1e-9)
-        try:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(fields for fields, _ in rows)
-            if args.out:
-                out.close()
-        except OSError as exc:
-            if not args.out:
-                raise  # stdout: see main
-            return _cannot_write("verify", args.out, exc)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(fields for fields, _ in rows)
     # fields: m, seed, ef1_count, efx_count, bound, ...
     stats = (
         f"{rate:.1f} rows/s, "
@@ -366,12 +361,16 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:
-        # stdout takes no more bytes: `| head` closed it, or a full device.
-        # devnull takes the final flush ("Note on SIGPIPE", signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return EXIT_USAGE  # the reader left on purpose: nothing to report
-        return _cannot_write(args.command, "stdout", exc)
+        # A failed result write: a command given --out writes nothing else to
+        # stdout, so the path is the file that failed.
+        path = getattr(args, "out", None)
+        if not path:
+            # stdout takes no more bytes: `| head` closed it, or a full device.
+            # devnull takes the final flush ("Note on SIGPIPE", signal docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_USAGE  # the reader left on purpose: nothing to report
+        return _usage_error(args.command, f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
     return code
 
 

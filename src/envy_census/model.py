@@ -734,7 +734,7 @@ def dumps_instance(inst: Instance) -> str:
 def save_instance(inst: Instance, path) -> None:
     """Write the instance to `path` in the JSON instance format. The file
     opens first, so a bad path fails before the table is encoded."""
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(dumps_instance(inst))
 
 

@@ -23,6 +23,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env(unbuffered: bool) -> dict:
+    """The environment for a CLI subprocess with its stdout buffering set
+    either way, rather than inherited from whatever runs the tests."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_gen_tight_ef1(tmp_path, capsys):
     path = tmp_path / "inst.json"
     code, out, _ = run_cli(capsys, "gen", "tight-ef1", "--m", "4", "--out", str(path))
@@ -525,53 +534,77 @@ def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monke
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_verify_failed_write_exits_1(capsys):
-    """A device that takes no bytes fails the CSV's writes or its close."""
-    code, out, err = run_cli(capsys, "verify", "--m-range", "1..3", "--trials", "2", "--out", "/dev/full")
-    assert code == 1 and out == ""
-    assert err == "verify: error: cannot write /dev/full: No space left on device\n"
+    """A device that takes no bytes fails the result's writes or its close."""
+    for argv in (
+        ["verify", "--m-range", "1..3", "--trials", "2"],
+        ["gen", "tight-ef1", "--m", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+        assert code == 1 and out == ""
+        assert err == f"{argv[0]}: error: cannot write /dev/full: No space left on device\n"
 
 
-@pytest.mark.parametrize("command", ["verify", "count"])
+@pytest.mark.parametrize("command", ["verify", "count", "small-verify"])
 def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, capsys, command):
     """The reader closes stdout after the first line, as `| head -1` does,
-    while more than 100 kB are still to come: more than a pipe holds."""
+    while more than 100 kB are still to come: more than a pipe holds. A
+    small `verify` meets a pipe whose reader left before it started, so
+    its summary line would follow a CSV that never arrived."""
+    if command == "small-verify":
+        for unbuffered in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            proc = subprocess.run(
+                [sys.executable, "-m", "envy_census", "verify", "--m-range", "1..3", "--trials", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
+            )
+            os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
+        return
     if command == "verify":
         argv = ["verify", "--m-range", "2..12", "--trials", "300"]
     else:
         path = tmp_path / "tight.json"
         assert run_cli(capsys, "gen", "tight-ef1", "--m", "18", "--out", str(path))[0] == 0
         argv = ["count", str(path), "--list", "good"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "envy_census", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert first == (",".join(CSV_COLUMNS) if command == "verify" else "511") + "\n"
-    assert err == ""
+    for unbuffered in (False, True):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "envy_census", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1, unbuffered
+        assert first == (",".join(CSV_COLUMNS) if command == "verify" else "511") + "\n"
+        assert err == "", unbuffered
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["gen", "count"])
+@pytest.mark.parametrize("command", ["gen", "count", "verify", "harper", "shadow", "cascade"])
 def test_full_stdout_exits_1_with_one_line(tmp_path, capsys, command):
-    """A stdout that takes no bytes gives one stderr line, and Python's own
-    flush at exit adds no "Exception ignored" report."""
-    if command == "gen":
-        argv = ["gen", "tight-ef1", "--m", "3"]
-    else:
-        path = tmp_path / "inst.json"
-        assert run_cli(capsys, "gen", "random-monotone", "--m", "5", "--out", str(path))[0] == 0
-        argv = ["count", str(path)]
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "envy_census", *argv],
-            stdout=full, stderr=subprocess.PIPE, text=True,
-        )
-    assert proc.returncode == 1
-    assert proc.stderr == f"{command}: error: cannot write stdout: No space left on device\n"
+    """A stdout that takes no bytes gives one stderr line, buffered or not:
+    no summary before it, and Python's own flush at exit adds no
+    "Exception ignored" report."""
+    path = tmp_path / "inst.json"
+    assert run_cli(capsys, "gen", "random-monotone", "--m", "5", "--out", str(path))[0] == 0
+    argv = {
+        "gen": ["gen", "tight-ef1", "--m", "3"],
+        "count": ["count", str(path)],
+        "verify": ["verify", "--m-range", "1..3", "--trials", "2"],
+        "harper": ["harper", "--m", "3", "--trials", "2"],
+        "shadow": ["shadow", "--n", "4", "--k", "3"],
+        "cascade": ["cascade", "--n", "8", "--k", "3"],
+    }[command]
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "envy_census", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
+            )
+        assert proc.returncode == 1, unbuffered
+        assert proc.stderr == f"{command}: error: cannot write stdout: No space left on device\n", unbuffered
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -581,7 +614,9 @@ def test_cli_import_leaves_multiprocessing_out():
         "import sys, envy_census.cli; "
         "print([name for name in ('multiprocessing', 'concurrent.futures.process') if name in sys.modules])"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=cli_env(False)
+    )
     assert proc.stdout == "[]\n"
 
 
@@ -730,7 +765,7 @@ def test_count_list_matches_golden(capsys, case):
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "envy_census", "shadow", "--n", "4", "--k", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env(False),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
