@@ -43,8 +43,9 @@ CSV_COLUMNS = (
 GEN_KINDS = ("tight-ef1", "tight-efx", "additive", "random-monotone")
 
 # `verify` runs the rows of one m in batches whose tables, both agents'
-# together, hold at most this many entries: one row per batch from m = 15.
-VERIFY_BATCH_ENTRIES = 1 << 16
+# together, hold at most this many entries (one row per batch from m = 17):
+# 1 MiB of int32, which with its masks and walk tiles fits a 2 MiB L2.
+VERIFY_BATCH_ENTRIES = 1 << 18
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,6 +193,10 @@ def _verify_batch(task: tuple[int, tuple[int, ...]]) -> list[tuple[tuple, bool]]
     return rows
 
 
+def _no_workers(exc: OSError) -> int:
+    return _usage_error("verify", f"cannot start worker processes: {exc.strerror or exc}")
+
+
 def _cmd_verify(args) -> int:
     lo, hi = args.m_range
     # Row seeds depend only on (master seed, m, trial index), so adding
@@ -201,21 +206,28 @@ def _cmd_verify(args) -> int:
         seeds = [model.derive_seed(args.seed, m, trial) for trial in range(args.trials)]
         size = max(1, VERIFY_BATCH_ENTRIES >> (m + 1))
         batches += [(m, tuple(seeds[i : i + size])) for i in range(0, len(seeds), size)]
-    # The output opens first, so a bad path fails before any row is computed.
-    with _output(args.out) as out:
-        start = time.perf_counter()
-        # Rows keep their order whatever the worker count; the cap bounds the forks.
-        jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
-        if jobs > 1:
-            # Imported here: multiprocessing would add to every command's start-up.
-            from concurrent.futures import ProcessPoolExecutor
+    # Rows keep their order whatever the worker count; the cap bounds the forks.
+    jobs = min(args.jobs, len(batches), os.cpu_count() or 1)
+    pool = None
+    if jobs > 1:
+        # Imported here: multiprocessing would add to every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
 
+        # Built before the output opens, so a pool that cannot start leaves
+        # an existing file alone. Its workers start only at `map`, so a bad
+        # path still fails before any row is computed.
+        try:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        except OSError as exc:
+            return _no_workers(exc)
+    with pool or contextlib.nullcontext(), _output(args.out) as out:
+        start = time.perf_counter()
+        if pool:
             chunk = max(1, len(batches) // (jobs * 4))
             try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(_verify_batch, batches, chunksize=chunk))
+                results = list(pool.map(_verify_batch, batches, chunksize=chunk))
             except OSError as exc:
-                return _usage_error("verify", f"cannot start worker processes: {exc.strerror or exc}")
+                return _no_workers(exc)
         else:
             results = [_verify_batch(batch) for batch in batches]
         rows = [row for result in results for row in result]

@@ -1,5 +1,6 @@
 import csv
 import errno
+import itertools
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from envy_census import census_report, derive_seed, load_instance, random_instance
+from envy_census import cli as cli_module
 from envy_census.cli import CSV_COLUMNS, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -303,8 +305,28 @@ def test_verify_jobs_matches_serial(capsys, tmp_path):
     assert _strip_elapsed(serial.read_text()) == _strip_elapsed(parallel.read_text())
 
 
+# The least m whose batches hold one row: up to it, a batch holds
+# VERIFY_BATCH_ENTRIES >> (m + 1) rows.
+ONE_ROW_M = cli_module.VERIFY_BATCH_ENTRIES.bit_length() - 2
+
+
+def _recording_batches(monkeypatch) -> list:
+    """(m, row seeds) of every `census._random_reports` call, in order."""
+    batches = []
+    real = cli_module.census._random_reports
+
+    def recording(m, seeds):
+        batches.append((m, tuple(seeds)))
+        return real(m, seeds)
+
+    monkeypatch.setattr(cli_module.census, "_random_reports", recording)
+    return batches
+
+
 def test_verify_jobs_matches_serial_on_every_batch_size(capsys):
-    argv = ("verify", "--m-range", "1..14", "--trials", "3", "--seed", "6")
+    """3 trials per m: one short batch up to ONE_ROW_M - 2, a full batch of
+    two and a short last one at ONE_ROW_M - 1, one-row batches at ONE_ROW_M."""
+    argv = ("verify", "--m-range", f"1..{ONE_ROW_M}", "--trials", "3", "--seed", "6")
     _, serial, _ = run_cli(capsys, *argv)
     code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert code == 0
@@ -312,30 +334,26 @@ def test_verify_jobs_matches_serial_on_every_batch_size(capsys):
 
 
 def test_verify_rows_are_census_reports_across_batch_boundaries(capsys, monkeypatch):
-    """70 trials at m = 10..12 fill whole batches and leave a short last
-    one per m; each row is still the census of its own random instance, and
-    shares its batch's elapsed_ms."""
-    import envy_census.cli as cli_module
-
-    batches = []
-    real = cli_module.census._random_reports
-
-    def recording(m, seeds):
-        batches.append((m, len(seeds)))
-        return real(m, seeds)
-
-    monkeypatch.setattr(cli_module.census, "_random_reports", recording)
-    code, out, _ = run_cli(capsys, "verify", "--m-range", "10..12", "--trials", "70", "--seed", "2")
+    """11 trials at the four m up to ONE_ROW_M fill batches of 8, 4, 2 and
+    1 rows and leave a short last one where a batch holds more than one row;
+    each row is still the census of its own random instance, and shares its
+    batch's elapsed_ms."""
+    lo, trials = ONE_ROW_M - 3, 11
+    batches = _recording_batches(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "verify", "--m-range", f"{lo}..{ONE_ROW_M}", "--trials", str(trials), "--seed", "2"
+    )
     assert code == 0
     expected_batches = []
-    for m in (10, 11, 12):
+    for m in range(lo, ONE_ROW_M + 1):
         size = cli_module.VERIFY_BATCH_ENTRIES >> (m + 1)
-        expected_batches += [(m, size)] * (70 // size) + [(m, 70 % size)]
-    assert batches == expected_batches and all(0 < k < 70 for _, k in batches)
+        expected_batches += [(m, size)] * (trials // size) + [(m, trials % size)] * (trials % size > 0)
+    assert [(m, len(seeds)) for m, seeds in batches] == expected_batches
+    assert [size for _, size in expected_batches[:2]] == [8, 3]
     rows = list(csv.reader(out.splitlines()))[1:]
-    assert len(rows) == 3 * 70
+    assert len(rows) == 4 * trials
     for i, row in enumerate(rows):
-        m, trial = 10 + i // 70, i % 70
+        m, trial = lo + i // trials, i % trials
         seed = derive_seed(2, m, trial)
         report = census_report(random_instance(m, seed))
         assert row[:-1] == [
@@ -343,9 +361,26 @@ def test_verify_rows_are_census_reports_across_batch_boundaries(capsys, monkeypa
             str(report.bound), "true", "true", str(report.separation_ok).lower(),
         ]
     start = 0
-    for _, size in batches:
+    for _, size in expected_batches:
         assert len({row[-1] for row in rows[start : start + size]}) == 1
         start += size
+
+
+def test_verify_batches_hold_at_most_the_cap_or_one_row(capsys, monkeypatch):
+    """Every batch holds at least one row and at most VERIFY_BATCH_ENTRIES
+    table entries, both agents' together, unless it is one row that alone
+    holds more; the batches take the rows in CSV order."""
+    batches = _recording_batches(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--m-range", "1..18", "--trials", "5", "--seed", "1")
+    assert code == 0
+    for m, seeds in batches:
+        entries = len(seeds) << (m + 1)
+        assert 1 <= len(seeds) and (entries <= cli_module.VERIFY_BATCH_ENTRIES or len(seeds) == 1)
+    assert len({m for m, seeds in batches if len(seeds) > 1}) == ONE_ROW_M - 1
+    expected = [(m, derive_seed(1, m, trial)) for m in range(1, 19) for trial in range(5)]
+    assert [(m, seed) for m, seeds in batches for seed in seeds] == expected
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert [(int(row[0]), int(row[1])) for row in rows] == expected
 
 
 def test_verify_summary_matches_the_csv(capsys):
@@ -397,8 +432,6 @@ def test_verify_reports_worker_processes_that_cannot_start(capfd, monkeypatch, p
     """One stderr line and exit 1, and stdout stays usable for the caller."""
     import concurrent.futures
 
-    import envy_census.cli as cli_module
-
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
@@ -410,6 +443,21 @@ def test_verify_reports_worker_processes_that_cannot_start(capfd, monkeypatch, p
     assert out == "after verify\n"
 
 
+def test_verify_pool_that_cannot_start_leaves_the_out_file_alone(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolFailsToStart)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"m,seed\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--m-range", "1..2", "--trials", "3", "--jobs", "2", "--out", str(keep)
+    )
+    assert code == 1 and out == ""
+    assert err == f"verify: error: cannot start worker processes: {os.strerror(errno.ENOSYS)}\n"
+    assert keep.read_bytes() == b"m,seed\n"
+
+
 # The grid of --m-range 1..2 is two batches (one per m), so at most two workers.
 @pytest.mark.parametrize(
     "jobs, cpus, expected",
@@ -417,8 +465,6 @@ def test_verify_reports_worker_processes_that_cannot_start(capfd, monkeypatch, p
 )
 def test_verify_caps_worker_count(capsys, monkeypatch, jobs, cpus, expected):
     import concurrent.futures
-
-    import envy_census.cli as cli_module
 
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     # `verify` imports the pool class from concurrent.futures when it needs one.
@@ -518,15 +564,19 @@ def test_gen_unwritable_output_exits_1(tmp_path, capsys):
 
 
 def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monkeypatch):
-    import envy_census.cli as cli_module
+    """At --jobs 2 the pool is built first, but maps no batch before the
+    output opens."""
+    import concurrent.futures
 
     def no_rows(task):
         raise AssertionError("a row was computed before the output opened")
 
     monkeypatch.setattr(cli_module, "_verify_batch", no_rows)
-    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    for jobs, bad in itertools.product(("1", "2"), (tmp_path / "missing" / "x.csv", tmp_path)):
         code, out, err = run_cli(
-            capsys, "verify", "--m-range", "2..3", "--trials", "2", "--out", str(bad)
+            capsys, "verify", "--m-range", "2..3", "--trials", "2", "--jobs", jobs, "--out", str(bad)
         )
         assert code == 1 and out == ""
         assert err.startswith(f"verify: error: cannot write {bad}: ") and err.count("\n") == 1
@@ -629,8 +679,6 @@ def test_count_deeply_nested_file_exits_2(tmp_path, capsys):
 
 
 def test_verify_failing_row_exits_3(capsys, monkeypatch):
-    import envy_census.cli as cli_module
-
     def broken_efx(tables):
         return np.zeros(tables.shape, dtype=bool)
 
@@ -675,8 +723,6 @@ def test_shadow_and_cascade_commands(capsys):
 
 
 def test_harper_command(capsys, monkeypatch):
-    import envy_census.cli as cli_module
-
     reports = []
     real_verify = cli_module.combinatorics.verify_harper
 
@@ -712,8 +758,6 @@ def test_harper_command_catches_the_colex_shell_fill(capsys, monkeypatch):
     need the simplicial shell fill; random disjoint draws never do. Trial 1
     takes the extremal pair; of the random instances' pairs at m=5, about
     one in 100 needs the fill, and seed 5 meets one at trial 33."""
-    import envy_census.cli as cli_module
-
     argv = ("harper", "--m", "5", "--trials", "40", "--seed", "5")
     assert run_cli(capsys, *argv)[0] == 0
 
@@ -727,8 +771,6 @@ def test_harper_command_catches_the_colex_shell_fill(capsys, monkeypatch):
 
 @pytest.mark.parametrize("m", range(5, 14, 2))
 def test_harper_command_reaches_the_extremal_pair_at_trial_1(capsys, monkeypatch, m):
-    import envy_census.cli as cli_module
-
     argv = ("harper", "--m", str(m), "--trials", "2", "--seed", "0")
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli_module.combinatorics, "_simplicial_key", _colex_key)

@@ -1243,6 +1243,19 @@ def test_writer_matches_the_reference_on_an_int64_table():
     _check_writer(Instance(v, random_monotone(m, 4)))
 
 
+@pytest.mark.parametrize("m", [3, 16])
+def test_writer_matches_the_reference_on_an_all_zero_table(m):
+    """One distinct value, written as additive and, with its item values
+    hidden, entry by entry, where the neighbour compare keeps one value."""
+    additive, table = (Valuation(m, np.zeros(1 << m, dtype=np.int64)) for _ in range(2))
+    assert additive.item_values == (0,) * m
+    table.__dict__["item_values"] = None
+    _check_writer(Instance(additive, table))
+    assert instance_to_dict(Instance(table, table))["agents"][0] == {
+        "kind": "table", "values": [0] * (1 << m)
+    }
+
+
 def test_writer_matches_the_reference_on_every_small_monotone_table():
     """Every table with values 0..2 on 4 items, additive or not, paired
     with itself."""
