@@ -19,8 +19,10 @@ same code, with one generation sweep and one sweep per mask for the batch.
 
 The counts and the class census work on masks packed 64 bundles to a
 uint64 word (`_words`): a pair count is an AND of words and a popcount,
-and the separation check moves bits within a word for items 0..5 and
-walks the word arrays' own covering halves for the other items.
+and a report packs each EF1 mask once each way, for its class census
+and its EF1 pair count. The separation check marks the bundles one item
+above a too-small bundle with the packed-word step
+`combinatorics._marks_above`, the step `is_sperner` compounds over items.
 
 Every class list and check reads the bundle classes from
 `_bundle_classes`, every partition list names a split by
@@ -34,57 +36,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import model
-from .combinatorics import _mask_to_set, binom
+from .combinatorics import _marks_above, _mask_to_set, _popcounts, _words, binom
 from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight_efx_instance
 
 
 # ---------------------------------------------------------------------------
 # counting
-
-
-# The masks and the multiplier of `_popcounts`.
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_BYTES = np.uint64(0x0101010101010101)
-
-# For item i < 6: the bits of a packed word (see `_words`) whose bundles
-# hold item i.
-_WORD_ITEM_BITS = [
-    np.uint64(sum(1 << s for s in range(64) if s >> i & 1)) for i in range(6)
-]
-
-
-def _words(masks: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Boolean masks, bundles along the last axis, packed into uint64
-    words: bundle b is bit b % 64 of word b // 64, and the bits past the
-    last bundle, in a lattice of fewer than 64 bundles, are 0. With
-    `reverse`, masks[..., ::-1] instead, packed from masks itself: a
-    big-endian bit order, read in reverse byte order, reverses every bit."""
-    n = masks.shape[-1]
-    packed = np.packbits(masks, axis=-1, bitorder="big" if reverse else "little")
-    if reverse:
-        packed = packed[..., ::-1]
-    words = np.zeros((*masks.shape[:-1], -(-n // 64)), dtype="<u8")
-    words.view(np.uint8)[..., : packed.shape[-1]] = packed
-    if reverse:
-        # Reversed, the last bundle sits at bit 8 * bytes - 1, not n - 1.
-        words >>= np.uint64(8 * packed.shape[-1] - n)
-    return words
-
-
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of uint64 words, along the last axis, by a SWAR
-    count (numpy 1.24 has no bitwise_count): each word's bits are summed in
-    2-bit, then 4-bit, then 8-bit fields, and the multiply adds the eight
-    byte sums into the top byte."""
-    w = words - (words >> np.uint64(1) & _M1)
-    w = (w & _M2) + (w >> np.uint64(2) & _M2)
-    w += w >> np.uint64(4)
-    w &= _M4
-    w *= _BYTES
-    w >>= np.uint64(56)
-    return w.sum(axis=-1, dtype=np.int64)
 
 
 def _pair_counts(masks_1: np.ndarray, masks_2: np.ndarray) -> np.ndarray:
@@ -191,31 +148,22 @@ def verify_separation(v: Valuation) -> bool:
     monotone, so the flag guards the mask sweep: one sweep per item looks
     for an upward step, which only a wrong EF1 mask could hold.
     """
-    return bool(_class_census(v.ef1_mask)[2])
+    return bool(_class_census(v.m, _words(v.ef1_mask), _words(v.ef1_mask, reverse=True))[2])
 
 
-def _class_census(ef1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(too-small count, good count, verify_separation) per row of EF1 masks
-    (bundles along the last axis), from `_bundle_classes` on packed words
-    (see `_words`); counts come from `_popcounts`. The
-    check marks every bundle one item above a too-small bundle, and looks
-    for a too-large one among them: items 0..5 move bits within a word, by
-    a shift and a mask; items 6 and up are the items of the word lattice,
-    walked by `model._covering_halves` with the marks as its seeded
-    output."""
-    m = ef1.shape[-1].bit_length() - 1
-    too_small, too_large, good = _bundle_classes(_words(ef1), _words(ef1, reverse=True))
-    # Below 64 bundles, the padding bits past the last bundle stay clear.
-    too_small[..., -1] &= np.uint64((1 << min(1 << m, 64)) - 1)
-    above = np.empty_like(too_small)
-    for _, small_lo, _, _, above_hi in model._covering_halves(
-        read=[too_small], seeded=[(above, 0)]
-    ):
-        above_hi |= small_lo
-    for i in range(min(m, 6)):
-        above |= too_small << np.uint64(1 << i) & _WORD_ITEM_BITS[i]
-    crossing = np.any(above & too_large, axis=-1)
-    return _popcounts(too_small), _popcounts(good), ~crossing
+def _class_census(
+    m: int, words: np.ndarray, mirrored: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(too-small count, good count, verify_separation) per row of the
+    packed EF1 words (see `_words`) of a lattice of m items and their
+    mirror, the words of the reversed masks. The classes come from
+    `_bundle_classes` and the counts from `_popcounts`: the too-small
+    bundles are the 2^m bundles that are not EF1. The check marks every
+    bundle one item above a too-small bundle (`_marks_above`), padding
+    bits included, and looks for a too-large one among them."""
+    too_small, too_large, good = _bundle_classes(words, mirrored)
+    crossing = np.any(_marks_above(too_small) & too_large, axis=-1)
+    return (1 << m) - _popcounts(words), _popcounts(good), ~crossing
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +344,13 @@ def _reports(m: int, ef1, efx, fairness_kind: str) -> list[CensusReport]:
     """The census reports of K instances on m items from their agents'
     masks: `ef1` and `efx` each hold agent 1's and agent 2's (K, 2^m) masks,
     and `efx` is None when fairness_kind is "ef1"."""
-    (small_1, good_1, sep_1), (small_2, good_2, sep_2) = map(_class_census, ef1)
+    # Each agent's EF1 mask packed once each way: the class census reads
+    # both, and the EF1 pair count agent 1's words and agent 2's mirror.
+    words = [_words(e) for e in ef1]
+    mirrored = [_words(e, reverse=True) for e in ef1]
+    (small_1, good_1, sep_1), (small_2, good_2, sep_2) = map(_class_census, (m, m), words, mirrored)
     rows = len(small_1)
-    ef1_counts = _pair_counts(*ef1).tolist() if fairness_kind != "efx" else [None] * rows
+    ef1_counts = _popcounts(words[0] & mirrored[1]).tolist() if fairness_kind != "efx" else [None] * rows
     efx_counts = _pair_counts(*efx).tolist() if fairness_kind != "ef1" else [None] * rows
     bound = f_ef1(m)
     return [

@@ -102,7 +102,7 @@ def _output(path: str | None):
     before any work, or stdout without one. Either is flushed on the way
     out, so a failed write raises before the command's summary; `main`
     reports it."""
-    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="") as out:
         yield out
         out.flush()
 
@@ -376,13 +376,14 @@ def main(argv=None) -> int:
         # A failed result write: a command given --out writes nothing else to
         # stdout, so the path is the file that failed.
         path = getattr(args, "out", None)
-        if not path:
+        if path is None:
             # stdout takes no more bytes: `| head` closed it, or a full device.
             # devnull takes the final flush ("Note on SIGPIPE", signal docs).
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if isinstance(exc, BrokenPipeError):
                 return EXIT_USAGE  # the reader left on purpose: nothing to report
-        return _usage_error(args.command, f"cannot write {path or 'stdout'}: {exc.strerror or exc}")
+            path = "stdout"
+        return _usage_error(args.command, f"cannot write {path}: {exc.strerror or exc}")
     return code
 
 

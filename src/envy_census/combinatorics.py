@@ -6,9 +6,12 @@ ball-replacement (Harper) check for system distances.
 Set systems are plain collections of bundle masks in [0, 2^MAX_ITEMS).
 Distance and antichain checks turn them into boolean vectors over the 2^m
 bundles, for the least m that holds every member (the Harper check takes
-its m and rejects members beyond it), and walk the covering-pair sweep of
-the census masks once: O(m * 2^m) whatever the distance, never a scan over
-pairs of members. A Hamming ball is an initial segment of the
+its m and rejects members beyond it), and walk the covering pairs of the
+lattice once: O(m * 2^m) whatever the answer, never a scan over pairs of
+members. The antichain check packs its vector 64 bundles to a uint64
+word (`_words`) and marks every bundle above a member with the one
+packed-word step, `_marks_above`, that the census's class census takes
+one item at a time. A Hamming ball is an initial segment of the
 simplicial order, cut from one additive key without a sort, XOR-ed with its
 center; sets are built only at the public boundary. Binomial, cascade and
 shadow arithmetic is exact Python integers; cascade and shadow results are
@@ -35,6 +38,78 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binom needs nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# packed bundle words
+
+
+# The masks and the multiplier of `_popcounts`.
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_BYTES = np.uint64(0x0101010101010101)
+
+# For item i < 6: the bits of a packed word (see `_words`) whose bundles
+# hold item i.
+_WORD_ITEM_BITS = [
+    np.uint64(sum(1 << s for s in range(64) if s >> i & 1)) for i in range(6)
+]
+
+
+def _words(masks: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Boolean masks, bundles along the last axis, packed into uint64
+    words: bundle b is bit b % 64 of word b // 64, and the bits past the
+    last bundle, in a lattice of fewer than 64 bundles, are 0. With
+    `reverse`, masks[..., ::-1] instead, packed from masks itself: a
+    big-endian bit order, read in reverse byte order, reverses every bit."""
+    n = masks.shape[-1]
+    packed = np.packbits(masks, axis=-1, bitorder="big" if reverse else "little")
+    if reverse:
+        packed = packed[..., ::-1]
+    words = np.zeros((*masks.shape[:-1], -(-n // 64)), dtype="<u8")
+    words.view(np.uint8)[..., : packed.shape[-1]] = packed
+    if reverse:
+        # Reversed, the last bundle sits at bit 8 * bytes - 1, not n - 1.
+        words >>= np.uint64(8 * packed.shape[-1] - n)
+    return words
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of uint64 words, along the last axis, by a SWAR
+    count (numpy 1.24 has no bitwise_count): each word's bits are summed in
+    2-bit, then 4-bit, then 8-bit fields, and the multiply adds the eight
+    byte sums into the top byte."""
+    w = words - (words >> np.uint64(1) & _M1)
+    w = (w & _M2) + (w >> np.uint64(2) & _M2)
+    w += w >> np.uint64(4)
+    w &= _M4
+    w *= _BYTES
+    w >>= np.uint64(56)
+    return w.sum(axis=-1, dtype=np.int64)
+
+
+def _marks_above(words: np.ndarray, closed: bool = False) -> np.ndarray:
+    """Packed words (see `_words`) of the bundles one item above a bundle
+    marked in `words`, or with `closed`, of every bundle strictly above
+    one, where each item's step also moves the marks of the steps before
+    it. Items 6 and up are the items of the word lattice, walked by
+    `model._covering_halves` with the marks as its seeded output; items
+    0..5 move bits within a word, by a shift and a mask. All six run
+    whatever m is: in a lattice of fewer than 64 bundles the items past
+    m - 1 only move marks into the padding bits, which never move back,
+    so a caller that ANDs the marks with words clear there reads none."""
+    above = np.empty_like(words)
+    for _, marked_lo, _, above_lo, above_hi in model._covering_halves(
+        read=[words], seeded=[(above, 0)]
+    ):
+        if closed:
+            above_hi |= above_lo
+        above_hi |= marked_lo
+    for i in range(6):
+        marked = words | above if closed else words
+        above |= marked << np.uint64(1 << i) & _WORD_ITEM_BITS[i]
+    return above
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +368,8 @@ def is_sperner(family: Iterable[int]) -> bool:
     False
     """
     (members,) = _bundle_vectors(family)
-    # above[b]: some member is a proper subset of b. Sweeping item i adds the
-    # members and marked bundles one item below, so marks compound upward.
-    above = np.empty_like(members)
-    for _, members_lo, _, above_lo, above_hi in model._covering_halves(
-        read=[members], seeded=[(above, 0)]
-    ):
-        above_hi |= above_lo
-        above_hi |= members_lo
-    return not np.any(above & members)
+    words = _words(members)
+    return not np.any(_marks_above(words, closed=True) & words)
 
 
 def bjorner_feasible(counts: Sequence[int]) -> bool:

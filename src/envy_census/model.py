@@ -179,6 +179,17 @@ _TILE_ENTRIES = 1 << 16
 _WALK_BUFSIZE = 1024
 
 
+def _halves(arrays, lead: tuple, bit: int, run: int) -> tuple:
+    """(bit, lo_1, hi_1, lo_2, hi_2, ...): the two halves of the last axis
+    of each array's reshape(*lead, -1, 2 * run) view, runs of `run`
+    entries without and with item log2(bit) (see `_covering_halves`)."""
+    halves = [bit]
+    for a in arrays:
+        view = a.reshape(*lead, -1, 2 * run)
+        halves += (view[..., :run], view[..., run:])
+    return tuple(halves)
+
+
 def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     """Walk every covering pair of the bundle lattice, one item at a time:
     the closure sweeps, whose updates compound over items (additive tables
@@ -230,14 +241,7 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     tile = min(_TILE_ENTRIES >> low, rows & -rows)
     grids = [a.reshape(rows, 1 << low) for a in arrays]
     bufs = [np.empty((1 << low, tile), dtype=a.dtype) for a in arrays]
-    tile_halves = []
-    for i in range(low):
-        run = tile << i
-        halves: list = [1 << i]
-        for buf in bufs:
-            view = buf.reshape(-1, 2 * run)
-            halves += (view[:, :run], view[:, run:])
-        tile_halves.append(tuple(halves))
+    tile_halves = [_halves(bufs, (), 1 << i, tile << i) for i in range(low)]
     loaded = len(read) + len(updated)
     # A seed array is a read array: its tile is already in that buffer.
     seeds = [
@@ -257,12 +261,7 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
                 grid[r : r + tile] = buf.T
         for i in range(low, m):
-            bit = 1 << i
-            halves = [bit]
-            for a in arrays:
-                view = a.reshape(*lead, -1, 2 * bit)
-                halves += (view[..., :bit], view[..., bit:])
-            yield tuple(halves)
+            yield _halves(arrays, lead, 1 << i, 1 << i)
     finally:
         if saved != _WALK_BUFSIZE:
             np.setbufsize(saved)

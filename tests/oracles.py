@@ -71,6 +71,16 @@ def class_census(ef1):
     return too_small.sum(axis=-1), good.sum(axis=-1), ~crossing
 
 
+def marks_above(masks, closed=False):
+    """Per row of boolean masks: the bundles one item above a marked
+    bundle, or with `closed`, every bundle strictly above one, the marks
+    compounding as the items are taken in increasing order."""
+    above = np.zeros_like(masks)
+    for lo, hi in item_pairs(masks.shape[-1].bit_length() - 1):
+        above[..., hi] |= masks[..., lo] | (above[..., lo] & closed)
+    return above
+
+
 def monotone_tables(m, k):
     """Every normalized monotone table on m items with values 0..k, as a
     (count, 2^m) int32 array. Built by doubling: a monotone table on i + 1

@@ -488,6 +488,12 @@ def test_random_reports_equal_census_reports_field_by_field(m):
     assert reports == [census_report(random_instance(m, seed)) for seed in seeds]
 
 
+def _packed_class_census(masks):
+    """`census._class_census` of boolean EF1 masks, packed each way."""
+    m = masks.shape[-1].bit_length() - 1
+    return census._class_census(m, census._words(masks), census._words(masks, reverse=True))
+
+
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_class_census_flags_separation_per_row(m):
     """Arbitrary masks, not EF1 masks of any valuation, so that some rows
@@ -495,7 +501,7 @@ def test_class_census_flags_separation_per_row(m):
     masks the check sees only upward covering steps from a too-small bundle
     to a too-large one (see verify_separation)."""
     masks = np.random.default_rng(m).random((40, 1 << m)) < 0.9
-    too_small_counts, good_counts, separated = census._class_census(masks)
+    too_small_counts, good_counts, separated = _packed_class_census(masks)
     assert 0 < separated.sum() < len(masks)
     for row, too_small_count, good_count, ok in zip(masks, too_small_counts, good_counts, separated):
         ef1 = set(np.flatnonzero(row).tolist())
@@ -506,7 +512,7 @@ def test_class_census_flags_separation_per_row(m):
         assert good_count == len(ef1) - len(too_large)
         upward = {b | 1 << i for b in too_small for i in range(m)}
         assert ok == upward.isdisjoint(too_large)
-        assert census._class_census(row)[2] == ok
+        assert _packed_class_census(row)[2] == ok
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -576,12 +582,12 @@ def test_packed_class_census_and_pair_counts_equal_the_references(m):
     """The packed class census and pair counts of a batch, and of each row
     alone, equal the boolean item-by-item references (tests/oracles.py)."""
     for masks in _census_cases(m):
-        got = census._class_census(masks)
+        got = _packed_class_census(masks)
         expected = class_census(masks)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
         for k, row in enumerate(masks):
-            assert [x.item() for x in census._class_census(row)] == [e[k].item() for e in expected]
+            assert [x.item() for x in _packed_class_census(row)] == [e[k].item() for e in expected]
         other = masks[::-1]
         pairs = (masks & other[:, ::-1]).sum(axis=-1)
         assert np.array_equal(census._pair_counts(masks, other), pairs)
@@ -602,7 +608,7 @@ def test_every_small_monotone_table(m, k, tables, distinct_ef1, distinct_efx, ef
     ef1, efx = model._ef1_masks(batch), model._efx_masks(batch)
     expected_ef1, expected_efx = removal_masks(batch)
     assert np.array_equal(ef1, expected_ef1) and np.array_equal(efx, expected_efx)
-    got = census._class_census(ef1)
+    got = _packed_class_census(ef1)
     for g, e in zip(got, class_census(ef1)):
         assert np.array_equal(g, e)
     assert got[2].all()

@@ -563,6 +563,17 @@ def test_gen_unwritable_output_exits_1(tmp_path, capsys):
     assert err.startswith(f"gen: error: cannot write {bad}: ") and err.count("\n") == 1
 
 
+def test_empty_out_path_exits_1(capsys, monkeypatch):
+    """`--out ""` names a file that cannot be opened, not stdout: `gen`, and
+    `verify` at both job counts, exit 1 with one line and no output."""
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    verify = ["verify", "--m-range", "1..2", "--trials", "1", "--jobs"]
+    for argv in (["gen", "tight-ef1", "--m", "2"], [*verify, "1"], [*verify, "2"]):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert code == 1 and out == ""
+        assert err == f"{argv[0]}: error: cannot write : No such file or directory\n"
+
+
 def test_verify_unwritable_output_exits_1_before_any_row(tmp_path, capsys, monkeypatch):
     """At --jobs 2 the pool is built first, but maps no batch before the
     output opens."""

@@ -40,6 +40,7 @@ from oracles import (
     feasible_sperner_profiles,
     hamming_ball,
     is_antichain,
+    marks_above,
     min_cross_distance,
     small_value_table,
 )
@@ -185,6 +186,32 @@ def test_is_sperner_matches_oracle():
             assert is_sperner(family) == is_antichain(family), sorted(family)
     assert outcomes == {True, False}
     assert not is_sperner({0, (1 << MAX_ITEMS) - 1})
+
+
+def test_is_sperner_on_every_family_of_the_first_eight_bundles():
+    """All 256 families of bundles in [0, 8): lattices of m <= 3 items, one
+    packed word each, its padding bits included."""
+    outcomes = set()
+    for bits in range(1 << 8):
+        family = {b for b in range(8) if bits >> b & 1}
+        outcomes.add(is_antichain(family))
+        assert is_sperner(family) == is_antichain(family), sorted(family)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("m", range(13))
+def test_marks_above_matches_the_oracle(m, closed):
+    """The packed step, unpacked to its first 2^m bits, on one mask and on a
+    batch of three of falling density, against the item-by-item oracle.
+    Below m = 6 the step also moves marks into padding bits, and none may
+    come back to a bundle."""
+    rng = np.random.default_rng(100 + m)
+    density = np.array([[0.5], [0.05], [2 / (1 << m)]])
+    for masks in (rng.random(1 << m) < 0.3, rng.random((3, 1 << m)) < density):
+        words = combinatorics._marks_above(combinatorics._words(masks), closed=closed)
+        bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+        assert np.array_equal(bits[..., : 1 << m].astype(bool), marks_above(masks, closed))
 
 
 @pytest.mark.parametrize("bundle", [-1, 1 << MAX_ITEMS])
