@@ -26,12 +26,15 @@ above a too-small bundle with the packed-word step
 
 Every class list and check reads the bundle classes from
 `_bundle_classes`, every partition list names a split by
-`_canonical_half`, and both constructions pair proposals in `_pairings`.
+`_canonical_half`, and both constructions pair proposals in `_pairings`:
+arrays of representatives in, agent 1's bundles out, every non-proposer's
+side picked by one compare of its table at the representatives and at their
+complements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,26 +187,23 @@ def list_ef1_partitions(v: Valuation) -> set[int]:
     return _mask_to_set(_canonical_half(_bundle_classes(v.ef1_mask)[2]))
 
 
-def _preferred_side(v: Valuation, rep: int, full: int) -> int:
-    """The side of the partition {rep, full ^ rep} that `v` weakly prefers;
-    ties go to the representative `rep`, the smaller mask."""
-    return full ^ rep if v.table[full ^ rep] > v.table[rep] else rep
-
-
-def _pairings(inst: Instance, reps_1: set[int], reps_2: set[int]) -> Iterator[tuple[int, int]]:
-    """Allocations from the two agents' proposed partitions (canonical
-    representatives): a partition both propose in both orders, then each
-    other partition with the non-proposer on the side it weakly prefers."""
+def _pairings(
+    inst: Instance, shared: np.ndarray, only_1: np.ndarray, only_2: np.ndarray
+) -> np.ndarray:
+    """Agent 1's bundle of each allocation paired from proposed partitions
+    (canonical representatives); agent 2 takes the complement. A partition
+    both agents propose gives both orders: the representatives, then their
+    complements. A partition one agent proposes gives the other agent the
+    side it weakly prefers, by one compare of its table at the
+    representatives and at their complements; ties go to the representative."""
     full = model.full_bundle(inst.m)
-    for rep in reps_1 & reps_2:
-        yield rep, full ^ rep
-        yield full ^ rep, rep
-    for rep in reps_1 - reps_2:
-        pick = _preferred_side(inst.v2, rep, full)
-        yield full ^ pick, pick
-    for rep in reps_2 - reps_1:
-        pick = _preferred_side(inst.v1, rep, full)
-        yield pick, full ^ pick
+
+    def preferred(v: Valuation, reps: np.ndarray) -> np.ndarray:
+        return np.where(v.table[full ^ reps] > v.table[reps], full ^ reps, reps)
+
+    return np.concatenate(
+        (shared, full ^ shared, full ^ preferred(inst.v2, only_1), preferred(inst.v1, only_2))
+    )
 
 
 def combine_ef1_partitions(
@@ -216,13 +216,14 @@ def combine_ef1_partitions(
     ValueError is raised. A partition on both lists contributes both
     orderings; a partition on one list contributes the ordering where the
     *other* agent takes a weakly preferred side (ties go to the
-    representative). The result therefore has exactly
-    len(partitions_1) + len(partitions_2) allocations, all EF1.
+    representative). The result therefore has exactly one allocation per
+    distinct representative on each list, all EF1.
     """
     what = "canonical partition representative"
     arrays = [model._bundle_array(p, what) for p in (partitions_1, partitions_2)]
-    p1, p2 = (set(arr.tolist()) for arr in arrays)
-    for agent, (arr, pset, v) in enumerate(zip(arrays, (p1, p2), (inst.v1, inst.v2)), start=1):
+    # Each agent's proposals marked over the canonical half.
+    marks = np.zeros((2, 1 << (inst.m - 1)), dtype=bool)
+    for agent, (arr, mark, v) in enumerate(zip(arrays, marks, (inst.v1, inst.v2)), start=1):
         # One array check: the range, then one lookup of the good class.
         good = _canonical_half(_bundle_classes(v.ef1_mask)[2])
         canonical = (arr >= 0) & (arr < good.size)
@@ -230,11 +231,14 @@ def combine_ef1_partitions(
         if not ok.all():
             # Name the first bad representative in set order.
             bad = set(arr[~ok].tolist())
-            rep = next(rep for rep in pset if rep in bad)
+            rep = next(rep for rep in set(arr.tolist()) if rep in bad)
             if not 0 <= rep < good.size:
                 raise ValueError(f"{rep} is not a {what} for m={inst.m}")
             raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
-    return set(_pairings(inst, p1, p2))
+        mark[arr] = True
+    mark_1, mark_2 = marks
+    first = _pairings(inst, *map(np.flatnonzero, (mark_1 & mark_2, mark_1 & ~mark_2, mark_2 & ~mark_1)))
+    return set(zip(first.tolist(), (model.full_bundle(inst.m) ^ first).tolist()))
 
 
 # Bundles in efx_partition's first block.
@@ -282,7 +286,10 @@ def cut_and_choose_efx(inst: Instance) -> tuple[tuple[int, int], tuple[int, int]
     >>> cut_and_choose_efx(tight_efx_instance(3))
     ((3, 4), (4, 3))
     """
-    return tuple(_pairings(inst, {efx_partition(inst.v1)[0]}, {efx_partition(inst.v2)[0]}))
+    proposal_1, proposal_2 = (np.array([efx_partition(v)[0]]) for v in (inst.v1, inst.v2))
+    same = proposal_1 == proposal_2
+    first = _pairings(inst, proposal_1[same], proposal_1[~same], proposal_2[~same])
+    return tuple(zip(first.tolist(), (model.full_bundle(inst.m) ^ first).tolist()))
 
 
 # ---------------------------------------------------------------------------

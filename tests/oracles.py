@@ -192,6 +192,29 @@ def ef1_partition_reps(v):
     return reps
 
 
+def pairings(inst, reps_1, reps_2):
+    """Allocations (agent 1's bundle, agent 2's bundle) from two lists of
+    canonical partition representatives, one representative at a time: one
+    on both lists in both orders, the representative first; one on agent
+    1's list only with agent 2 on the side worth more to it by exact value,
+    the representative on a tie; then one on agent 2's list only with agent
+    1 choosing alike. Each group in increasing order."""
+    full = (1 << inst.m) - 1
+    reps_1, reps_2 = set(reps_1), set(reps_2)
+
+    def chosen(v, rep):
+        return full ^ rep if v.value(full ^ rep) > v.value(rep) else rep
+
+    out = []
+    for rep in sorted(reps_1 & reps_2):
+        out += [(rep, full ^ rep), (full ^ rep, rep)]
+    for rep in sorted(reps_1 - reps_2):
+        out.append((full ^ chosen(inst.v2, rep), chosen(inst.v2, rep)))
+    for rep in sorted(reps_2 - reps_1):
+        out.append((chosen(inst.v1, rep), full ^ chosen(inst.v1, rep)))
+    return out
+
+
 def classification_systems(v):
     """(too_small, too_large, good) as sets of bundle masks."""
     m = v.m

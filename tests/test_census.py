@@ -54,6 +54,7 @@ from oracles import (
     first_two_sided_efx,
     min_cross_distance,
     monotone_tables,
+    pairings,
     removal_masks,
     s_max_by_levels,
     small_value_table,
@@ -355,6 +356,65 @@ def test_combine_output_size_and_soundness_on_random_instances():
             assert is_ef1_allocation(inst, bundle_1)
 
 
+def _proposal_lists(reps_1, reps_2, seed):
+    """Proposal lists from two agents' EF1 representatives: the whole lists,
+    random parts of each (so a representative may be on one list, the other
+    or both) with repeats, and each whole list against an empty one."""
+    rng = np.random.default_rng(seed)
+    whole = sorted(reps_1), sorted(reps_2)
+    parts = [[rep for rep in reps if rng.random() < 0.6] for reps in whole]
+    parts = [part + part[::3] for part in parts]
+    return [whole, parts, (whole[0], []), ([], whole[1])]
+
+
+def _check_combine_against_pairings(inst, seed):
+    """combine_ef1_partitions equals oracles.pairings on every list pair of
+    `_proposal_lists`, one allocation per distinct representative."""
+    reps = list_ef1_partitions(inst.v1), list_ef1_partitions(inst.v2)
+    for lists in _proposal_lists(*reps, seed):
+        expected = pairings(inst, *lists)
+        assert combine_ef1_partitions(*lists, inst) == set(expected)
+        assert len(set(expected)) == len(set(lists[0])) + len(set(lists[1]))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_combine_equals_the_pairing_oracle(m):
+    """Random agents, and tie-heavy agents with values 0..3."""
+    cases = [random_instance(m, seed) for seed in range(3)]
+    tables = [small_value_table(m, 31 * m + k) for k in range(3)]
+    cases += [Instance(Valuation(m, t1), Valuation(m, t2)) for t1, t2 in zip(tables, tables[1:])]
+    for seed, inst in enumerate(cases):
+        _check_combine_against_pairings(inst, seed)
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 1), (3, 3)])
+def test_combine_equals_the_pairing_oracle_on_every_small_monotone_table(m, k):
+    """Every table of a family paired with itself and, both ways, with the
+    family's last table (every nonempty bundle worth k). Small values make
+    a split's two sides tie often, so the tie rule decides many choices."""
+    agents = [Valuation(m, t) for t in monotone_tables(m, k)]
+    fixed = agents[-1]
+    for seed, v in enumerate(agents):
+        for inst in (Instance(v, v), Instance(v, fixed), Instance(fixed, v)):
+            _check_combine_against_pairings(inst, seed)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_combine_equals_the_pairing_oracle_on_equal_item_values(m):
+    """Additive agents whose items are worth the same: at even m each
+    balanced split ties, and the chooser takes the representative."""
+    flat, heavy_last = make_additive([1] * m), make_additive([2] * (m - 1) + [3])
+    for seed, inst in enumerate((Instance(flat, flat), Instance(flat, heavy_last), Instance(heavy_last, flat))):
+        _check_combine_against_pairings(inst, seed)
+
+
+def test_combine_equals_the_pairing_oracle_at_m16():
+    inst = random_instance(16, 0)
+    reps = list_ef1_partitions(inst.v1), list_ef1_partitions(inst.v2)
+    assert len(reps[0]) + len(reps[1]) > 29_000
+    assert combine_ef1_partitions(*reps, inst) == set(pairings(inst, *reps))
+
+
 # ---------------------------------------------------------------------------
 # constructive EFX
 
@@ -650,6 +710,35 @@ def test_cut_and_choose_on_every_small_monotone_table(m, k):
             coinciding += second == first[::-1]
     # Against the fixed table, both of the chooser's branches ran.
     assert len(agents) < coinciding < 2 * len(agents)
+
+
+def _cut_and_choose_reference(inst):
+    """oracles.pairings on the two agents' efx_partition proposals, in order."""
+    return tuple(pairings(inst, [efx_partition(inst.v1)[0]], [efx_partition(inst.v2)[0]]))
+
+
+@pytest.mark.parametrize("m, k", [(4, 1), (3, 3), (4, 2)])
+def test_cut_and_choose_equals_the_pairing_oracle_on_every_small_monotone_table(m, k):
+    """Every table of a family paired with itself and, both ways, with the
+    family's last table: the oracle's tuples in the oracle's order."""
+    agents = [Valuation(m, t) for t in monotone_tables(m, k)]
+    fixed = agents[-1]
+    for v in agents:
+        for inst in (Instance(v, v), Instance(v, fixed), Instance(fixed, v)):
+            assert cut_and_choose_efx(inst) == _cut_and_choose_reference(inst)
+
+
+@pytest.mark.parametrize("m", range(1, 23))
+def test_cut_and_choose_equals_the_pairing_oracle(m):
+    """Random agents, the tight EFX agent and, for m <= 12, tie-heavy agents
+    with values 0..3, in every ordered pair."""
+    agents = [random_monotone(m, seed) for seed in range(2)] + [tight_efx_instance(m).v1]
+    if m <= 12:
+        agents += [Valuation(m, small_value_table(m, 29 * m + k)) for k in range(2)]
+    for v1 in agents:
+        for v2 in agents:
+            inst = Instance(v1, v2)
+            assert cut_and_choose_efx(inst) == _cut_and_choose_reference(inst)
 
 
 def _relabelled(array, axes):
