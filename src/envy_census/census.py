@@ -4,9 +4,14 @@ pairing of per-agent fair partitions into fair allocations.
 
 Nothing here tests bundles one at a time. Every function reads the two
 per-valuation bundle masks, `Valuation.ef1_mask` and `Valuation.efx_mask`:
-boolean vectors over all 2^m bundles. The first query on a valuation costs
-one O(m * 2^m) covering-neighbor sweep per mask, and each mask then lives,
-read-only, as long as the valuation does. Reversing a mask indexes it by
+boolean vectors over all 2^m bundles. Each mask costs one O(m * 2^m)
+covering-neighbor sweep, once, and then lives, read-only, as long as the
+valuation does. Set systems, partitions, `efx_partition` and the "ef1"
+and "efx" reports sweep each mask they read by its own threshold walk, the
+faster walk for one mask. A "both" report and every `_random_reports`
+batch take both masks from one joint walk (`model._removal_masks`), the
+faster walk for two; a "both" report sweeps only a mask that is missing
+when the other is cached. Reversing a mask indexes it by
 complements, so counting allocations is a vectorized AND. Memory is O(2^m),
 which keeps m = 20+ tables practical. Results are exact and independent of
 traversal order.
@@ -15,7 +20,7 @@ The counts and the class census take a leading batch axis: masks of shape
 (K, 2^m), one row per instance, reduced along the last axis. A census
 report is the batch of one, read from `[None]` views of the cached masks,
 and `_random_reports` runs K seeded random instances of one m through the
-same code, with one generation sweep and one sweep per mask for the batch.
+same code, with one generation sweep and one joint mask walk for the batch.
 
 The counts and the class census work on masks packed 64 bundles to a
 uint64 word (`_words`): a pair count is an AND of words and a popcount,
@@ -326,10 +331,15 @@ class CensusReport:
 
 def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     """Run the full census of an instance. `fairness_kind` selects which
-    allocation counts appear in the report: "ef1", "efx", or "both"."""
+    allocation counts appear in the report: "ef1", "efx", or "both". For
+    "both", a valuation with neither mask cached gets both from one joint
+    walk (see `Valuation._sweep_both_masks`)."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
     agents = (inst.v1, inst.v2)
+    if fairness_kind == "both":
+        for v in agents:
+            v._sweep_both_masks()
     ef1 = [v.ef1_mask[None] for v in agents]
     efx = [v.efx_mask[None] for v in agents] if fairness_kind != "ef1" else None
     return _reports(inst.m, ef1, efx, fairness_kind)[0]
@@ -337,13 +347,13 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
 
 def _random_reports(m: int, seeds: Sequence[int]) -> list[CensusReport]:
     """census_report(random_instance(m, s)) for each row seed s, in order:
-    one generation sweep and one sweep per mask for the whole batch."""
+    one generation sweep, then one joint walk (`model._removal_masks`) for
+    both masks of every table of the batch."""
     # Rows [0, K) are agent 1's tables, rows [K, 2K) agent 2's.
     pairs = [model._agent_seeds(s) for s in seeds]
     agent_seeds = [pair[agent] for agent in (0, 1) for pair in pairs]
     tables = model._random_tables(m, agent_seeds)
-    ef1 = model._ef1_masks(tables).reshape(2, len(seeds), -1)
-    efx = model._efx_masks(tables).reshape(2, len(seeds), -1)
+    ef1, efx = (mask.reshape(2, len(seeds), -1) for mask in model._removal_masks(tables))
     return _reports(m, ef1, efx, "both")
 
 

@@ -350,7 +350,10 @@ class Valuation:
     first access and then kept for as long as the valuation lives.
     `item_values` holds each item's value when the table is additive, however
     it was built, so instance files store it in the compact additive form.
-    Each mask costs one O(m * 2^m) sweep and 2^m bytes, read-only.
+    Each mask is 2^m bytes, read-only, and costs one O(m * 2^m) sweep: read
+    on its own, `_removal_mask`'s threshold walk. A caller that reads both
+    calls `_sweep_both_masks` first, which fills both from one joint walk
+    (`_removal_masks`) when neither is cached.
     """
 
     m: int
@@ -426,6 +429,14 @@ class Valuation:
         EFX for this valuation (see `_efx_masks`)."""
         return _efx_masks(self.table)
 
+    def _sweep_both_masks(self) -> None:
+        """Cache `ef1_mask` and `efx_mask` from one joint walk when neither
+        is cached yet. With one cached, leave the other to its own sweep,
+        run when it is first read."""
+        cached = vars(self)
+        if "ef1_mask" not in cached and "efx_mask" not in cached:
+            cached["ef1_mask"], cached["efx_mask"] = _removal_masks(self.table)
+
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
@@ -455,7 +466,9 @@ def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
     last axis, and each leading index is its own table. `thresh` is the
     walk's seeded output: `seed` (t itself, or a scalar) is the
     definition's value before any removal, filled in tile by tile, so no
-    seeded copy of the tables is made.
+    seeded copy of the tables is made. It serves a request for one mask:
+    `ef1_mask` or `efx_mask` alone. For both masks, `_removal_masks`' one
+    joint walk is faster than two of these.
 
     The compare runs forward, chunk by chunk: each chunk of bundles meets
     a forward copy of its complements' chunk, in a scratch of at most
@@ -475,6 +488,64 @@ def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
         np.greater_equal(t[..., start:stop], mirrored, out=mask[..., start:stop])
     mask.setflags(write=False)
     return mask
+
+
+def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (EF1, EFX) masks of tables indexed by bundle along the last
+    axis (leading axes are a batch), from one covering walk.
+
+    With rt the reversed table, rt[b + j] = t[c - j] for an item j outside
+    b, c the complement of b. The walk reads t and rt and counts, per
+    bundle, n[b] = #{j not in b : t[b] < rt[b + j]}: the removals from the
+    complement that b envies, one compare and one uint8 add per item. Then
+    b is EFX iff n[b] == 0, and EF1 iff t[b] >= rt[b] or n[b] != m - |b|,
+    the number of items outside b: exact for any table, monotone or not.
+
+    Transient memory is rt, as large as the table, plus a scratch of at
+    most _TILE_ENTRIES bytes, in which each item's compare runs block by
+    block. Once the EF1 mask holds t >= rt, rt's bytes hold m - |b| and
+    then the n[b] != m - |b| flags, and the EFX mask is written over n.
+    `_removal_mask`'s threshold walk is faster for one mask alone."""
+    size = tables.shape[-1]
+    m = size.bit_length() - 1
+    rt = tables[..., ::-1].copy()
+    counts = np.empty(tables.shape, dtype=np.uint8)
+    scratch = np.empty(min(_TILE_ENTRIES, tables.size // 2), dtype=np.uint8)
+    for _, t_lo, _, _, rt_hi, n_lo, _ in _covering_halves(read=[tables, rt], seeded=[(counts, 0)]):
+        _add_less(t_lo, rt_hi, n_lo, scratch)
+    ef1 = np.greater_equal(tables, rt)
+    free = rt.reshape(-1).view(np.uint8)
+    outside = free[:size]
+    outside[0] = m
+    for i in range(m):
+        np.subtract(outside[: 1 << i], 1, out=outside[1 << i : 2 << i])
+    flags = free[size : size + tables.size].view(bool).reshape(tables.shape)
+    ef1 |= np.not_equal(counts, outside, out=flags)
+    efx = np.equal(counts, 0, out=counts.view(bool))
+    ef1.setflags(write=False)
+    efx.setflags(write=False)
+    return ef1, efx
+
+
+def _add_less(a: np.ndarray, b: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> None:
+    """counts += (a < b) over one item's halves of a covering walk, shaped
+    (..., run), through the uint8 scratch. Halves larger than the scratch
+    (high items') go in blocks that fit it: whole runs while a run fits,
+    else pieces of one run. The halves' leading axes are evenly strided, so
+    the reshapes are views and the adds reach `counts`."""
+    if a.size <= scratch.size:
+        less = scratch[: a.size].reshape(a.shape)
+        np.less(a, b, out=less.view(bool))
+        np.add(counts, less, out=counts)
+        return
+    run = a.shape[-1]
+    a, b, counts = (x.reshape(-1, run) for x in (a, b, counts))
+    width = min(run, scratch.size)
+    step = scratch.size // width
+    for r in range(0, a.shape[0], step):
+        for c in range(0, run, width):
+            block = np.s_[r : r + step, c : c + width]
+            _add_less(a[block], b[block], counts[block], scratch)
 
 
 def _table_dtype(top: int) -> type:

@@ -541,6 +541,61 @@ def test_census_report_ef1_leaves_the_efx_masks_unswept():
     assert "efx_mask" not in vars(inst.v1) and "efx_mask" not in vars(inst.v2)
 
 
+def _mask_walks(monkeypatch, inst):
+    """The list that records each covering walk reading one of inst's
+    tables: (valuation, number of read arrays), 2 for the joint walk (the
+    table and its reversal) and 1 for a threshold walk."""
+    walks = []
+    real = model._covering_halves
+
+    def recorded(read=(), **arrays):
+        walks.extend((v, len(read)) for v in (inst.v1, inst.v2) if read and read[0] is v.table)
+        return real(read=read, **arrays)
+
+    monkeypatch.setattr(model, "_covering_halves", recorded)
+    return walks
+
+
+def test_census_report_both_walks_each_valuation_once(monkeypatch):
+    """A fresh instance's "both" report runs one joint walk per valuation
+    and caches both masks, so the cut-and-choose that follows walks
+    nothing."""
+    inst = random_instance(9, 4)
+    walks = _mask_walks(monkeypatch, inst)
+    census_report(inst, "both")
+    assert walks == [(inst.v1, 2), (inst.v2, 2)]
+    for v in (inst.v1, inst.v2):
+        assert "ef1_mask" in vars(v) and "efx_mask" in vars(v)
+    cut_and_choose_efx(inst)
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("cached", ["ef1_mask", "efx_mask"])
+def test_census_report_both_sweeps_only_the_missing_mask(monkeypatch, cached):
+    """With one of agent 1's masks cached, a "both" report sweeps only the
+    other, by its threshold walk, keeps the cached one, and walks agent 2
+    once, jointly."""
+    inst = random_instance(9, 6)
+    kept = getattr(inst.v1, cached)
+    walks = _mask_walks(monkeypatch, inst)
+    census_report(inst, "both")
+    assert len(walks) == 2 and set(walks) == {(inst.v1, 1), (inst.v2, 2)}
+    assert getattr(inst.v1, cached) is kept
+
+
+def test_both_mask_paths_take_no_threshold_walk(monkeypatch):
+    """census_report(..., "both") on fresh valuations and every verify batch
+    read both masks from the joint walk alone."""
+
+    def threshold_walk(*args):
+        raise AssertionError("threshold walk on a both-mask path")
+
+    monkeypatch.setattr(model, "_removal_mask", threshold_walk)
+    seeds = [derive_seed(9, k) for k in range(4)]
+    reports = census._random_reports(7, seeds)
+    assert reports == [census_report(random_instance(7, seed), "both") for seed in seeds]
+
+
 @pytest.mark.parametrize("m", range(1, 15))
 def test_random_reports_equal_census_reports_field_by_field(m):
     seeds = [derive_seed(4, m, trial) for trial in range(3 if m > 11 else 9)]
@@ -668,6 +723,8 @@ def test_every_small_monotone_table(m, k, tables, distinct_ef1, distinct_efx, ef
     ef1, efx = model._ef1_masks(batch), model._efx_masks(batch)
     expected_ef1, expected_efx = removal_masks(batch)
     assert np.array_equal(ef1, expected_ef1) and np.array_equal(efx, expected_efx)
+    joint_ef1, joint_efx = model._removal_masks(batch)
+    assert np.array_equal(joint_ef1, ef1) and np.array_equal(joint_efx, efx)
     got = _packed_class_census(ef1)
     for g, e in zip(got, class_census(ef1)):
         assert np.array_equal(g, e)
@@ -850,8 +907,9 @@ def test_pickle_keeps_the_table_dtype_and_read_only():
 
 
 def _count_mask_sweeps(monkeypatch):
-    """Wrap both cached mask properties of Valuation so each sweep that runs
-    is counted; returns the live counts."""
+    """Wrap both cached mask properties of Valuation, and the joint walk
+    that sweeps both masks of a table at once, so each sweep that runs is
+    counted per mask; returns the live counts."""
     calls = {"ef1_mask": 0, "efx_mask": 0}
     for name in calls:
         sweep = getattr(Valuation, name).func
@@ -863,6 +921,14 @@ def _count_mask_sweeps(monkeypatch):
         prop = cached_property(counted)
         prop.__set_name__(Valuation, name)
         monkeypatch.setattr(Valuation, name, prop)
+    joint = model._removal_masks
+
+    def counted_joint(tables):
+        for name in calls:
+            calls[name] += tables.size // tables.shape[-1]
+        return joint(tables)
+
+    monkeypatch.setattr(model, "_removal_masks", counted_joint)
     return calls
 
 

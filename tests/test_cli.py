@@ -690,10 +690,12 @@ def test_count_deeply_nested_file_exits_2(tmp_path, capsys):
 
 
 def test_verify_failing_row_exits_3(capsys, monkeypatch):
-    def broken_efx(tables):
-        return np.zeros(tables.shape, dtype=bool)
+    real = cli_module.model._removal_masks
 
-    monkeypatch.setattr(cli_module.model, "_efx_masks", broken_efx)
+    def broken_efx(tables):
+        return real(tables)[0], np.zeros(tables.shape, dtype=bool)
+
+    monkeypatch.setattr(cli_module.model, "_removal_masks", broken_efx)
     code, out, err = run_cli(capsys, "verify", "--m-range", "2..2", "--trials", "2")
     assert code == 3
     assert "reproducers" in err and "seed=" in err

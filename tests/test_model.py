@@ -716,9 +716,10 @@ def test_random_tables_draw_the_integers_stream(monkeypatch, m):
     "rows, m", [(1, m) for m in range(1, 19)] + [(rows, m) for rows in (6, 12) for m in range(1, 17)]
 )
 def test_sweeps_equal_the_whole_lattice_references(rows, m):
-    """The closure and both removal masks of a batch, on more than one tile
-    from m = 17 on (sooner for a batch), equal the item-by-item references
-    of tests/oracles.py on random and on tie-heavy tables."""
+    """The closure and both removal masks of a batch, by their threshold
+    walks and by the joint walk, on more than one tile from m = 17 on
+    (sooner for a batch), equal the item-by-item references of
+    tests/oracles.py on random and on tie-heavy tables."""
     seeds = [derive_seed(m, rows, k) for k in range(rows)]
     tables = model._random_tables(m, seeds)
     draws = np.stack([_closure_table(m, seed) for seed in seeds])
@@ -728,6 +729,58 @@ def test_sweeps_equal_the_whole_lattice_references(rows, m):
         ef1, efx = removal_masks(batch)
         assert np.array_equal(model._ef1_masks(batch), ef1)
         assert np.array_equal(model._efx_masks(batch), efx)
+        joint_ef1, joint_efx = model._removal_masks(batch)
+        assert np.array_equal(joint_ef1, ef1) and np.array_equal(joint_efx, efx)
+
+
+@pytest.mark.parametrize("rows, m", [(rows, m) for rows in (1, 6, 12) for m in range(1, 11)])
+def test_joint_removal_masks_need_no_monotone_table(rows, m):
+    """The joint walk's counts are exact on tables that dip (values 0..3
+    drawn per bundle, no closure), at int32 and int64, where a cheap
+    removal can be worth more than the complement itself: both masks equal
+    the references, read-only."""
+    tables = np.stack([small_value_table(m, 23 * m + k, monotone=False) for k in range(rows)])
+    expected = removal_masks(tables)
+    for batch in (tables, tables.astype(np.int32)):
+        for got, want in zip(model._removal_masks(batch), expected):
+            assert got.shape == batch.shape and got.dtype == bool
+            assert np.array_equal(got, want) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(1, 23))
+def test_joint_removal_masks_of_the_tight_families(m):
+    """On both agents of the tight EF1 and EFX instances, up to m = 22
+    (64 tiles), the joint walk gives the single-mask threshold walks'
+    masks."""
+    for inst in (tight_ef1_instance(m), tight_efx_instance(m)):
+        for v in (inst.v1, inst.v2):
+            ef1, efx = model._removal_masks(v.table)
+            assert np.array_equal(ef1, model._ef1_masks(v.table))
+            assert np.array_equal(efx, model._efx_masks(v.table))
+
+
+def test_joint_walk_peak_is_no_higher_than_two_threshold_walks():
+    """The joint walk's transient memory is the reversed table, whose bytes
+    it reuses, plus its outputs: at m = 20 (16 tiles) its traced peak is no
+    higher than that of the two threshold walks run back to back, the first
+    mask held while the second sweeps. (At m <= 16 one tile holds a whole
+    table, and the joint walk's extra uint8 tile and scratch are not
+    offset by a held mask.)"""
+    table = random_monotone(20, 5).table
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def threshold_walks():
+        ef1 = model._ef1_masks(table)
+        return ef1, model._efx_masks(table)
+
+    assert peak(lambda: model._removal_masks(table)) <= peak(threshold_walks)
 
 
 def test_random_monotone_passes_checks():
