@@ -4,17 +4,12 @@ pairing of per-agent fair partitions into fair allocations.
 
 Nothing here tests bundles one at a time. Every function reads the two
 per-valuation bundle masks, `Valuation.ef1_mask` and `Valuation.efx_mask`:
-boolean vectors over all 2^m bundles. Each mask costs one O(m * 2^m)
-covering-neighbor sweep, once, and then lives, read-only, as long as the
-valuation does. Set systems, partitions, `efx_partition` and the "ef1"
-and "efx" reports sweep each mask they read by its own threshold walk, the
-faster walk for one mask. A "both" report and every `_random_reports`
-batch take both masks from one joint walk (`model._removal_masks`), the
-faster walk for two; a "both" report sweeps only a mask that is missing
-when the other is cached. Reversing a mask indexes it by
-complements, so counting allocations is a vectorized AND. Memory is O(2^m),
-which keeps m = 20+ tables practical. Results are exact and independent of
-traversal order.
+boolean vectors over all 2^m bundles. Both come from one O(m * 2^m)
+covering walk, `model._removal_masks`, run by the first read of either
+mask, and then live, read-only, as long as the valuation does. Reversing a
+mask indexes it by complements, so counting allocations is a vectorized
+AND. Memory is O(2^m), which keeps m = 20+ tables practical. Results are
+exact and independent of traversal order.
 
 The counts and the class census take a leading batch axis: masks of shape
 (K, 2^m), one row per instance, reduced along the last axis. A census
@@ -331,15 +326,10 @@ class CensusReport:
 
 def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     """Run the full census of an instance. `fairness_kind` selects which
-    allocation counts appear in the report: "ef1", "efx", or "both". For
-    "both", a valuation with neither mask cached gets both from one joint
-    walk (see `Valuation._sweep_both_masks`)."""
+    allocation counts appear in the report: "ef1", "efx", or "both"."""
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
     agents = (inst.v1, inst.v2)
-    if fairness_kind == "both":
-        for v in agents:
-            v._sweep_both_masks()
     ef1 = [v.ef1_mask[None] for v in agents]
     efx = [v.efx_mask[None] for v in agents] if fairness_kind != "ef1" else None
     return _reports(inst.m, ef1, efx, fairness_kind)[0]

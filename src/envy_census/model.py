@@ -199,9 +199,9 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     axis, which holds 2^m entries; any leading axes are a batch of
     independent lattices, walked together. Each array has one role:
     `read` arrays are only read; `updated` arrays are read and written;
-    each `seeded` entry is an (out, seed) pair whose output starts as
-    `seed` before any item, a scalar or one of the `read` arrays, and is
-    then written. Updated and seeded arrays must be C-contiguous.
+    each `seeded` entry is an (out, seed) pair whose output starts as the
+    scalar `seed` before any item and is then written. Updated and seeded
+    arrays must be C-contiguous.
 
     For item i this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with
     bit = 2^i, over the read, then the updated, then the seeded arrays:
@@ -243,19 +243,12 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     bufs = [np.empty((1 << low, tile), dtype=a.dtype) for a in arrays]
     tile_halves = [_halves(bufs, (), 1 << i, tile << i) for i in range(low)]
     loaded = len(read) + len(updated)
-    # A seed array is a read array: its tile is already in that buffer.
-    seeds = [
-        bufs[next(k for k, a in enumerate(read) if a is seed)]
-        if isinstance(seed, np.ndarray)
-        else seed
-        for _, seed in seeded
-    ]
     saved = np.setbufsize(_WALK_BUFSIZE)
     try:
         for r in range(0, rows, tile):
             for grid, buf in zip(grids[:loaded], bufs):
                 buf[...] = grid[r : r + tile].T
-            for seed, buf in zip(seeds, bufs[loaded:]):
+            for (_, seed), buf in zip(seeded, bufs[loaded:]):
                 buf[...] = seed
             yield from tile_halves
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
@@ -350,10 +343,8 @@ class Valuation:
     first access and then kept for as long as the valuation lives.
     `item_values` holds each item's value when the table is additive, however
     it was built, so instance files store it in the compact additive form.
-    Each mask is 2^m bytes, read-only, and costs one O(m * 2^m) sweep: read
-    on its own, `_removal_mask`'s threshold walk. A caller that reads both
-    calls `_sweep_both_masks` first, which fills both from one joint walk
-    (`_removal_masks`) when neither is cached.
+    Each mask is 2^m bytes and read-only. Both come from one O(m * 2^m)
+    walk, `_removal_masks`, which the first read of either mask runs.
     """
 
     m: int
@@ -418,76 +409,25 @@ class Valuation:
         return tuple(Fraction(x, self.denom) for x in singles)
 
     @cached_property
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ef1_mask, efx_mask), from one joint walk."""
+        return _removal_masks(self.table)
+
+    @property
     def ef1_mask(self) -> np.ndarray:
         """Read-only boolean vector over all bundles: entry b iff bundle b is
-        EF1 for this valuation (see `_ef1_masks`)."""
-        return _ef1_masks(self.table)
+        EF1 for this valuation (see `_removal_masks`)."""
+        return self._masks[0]
 
-    @cached_property
+    @property
     def efx_mask(self) -> np.ndarray:
         """Read-only boolean vector over all bundles: entry b iff bundle b is
-        EFX for this valuation (see `_efx_masks`)."""
-        return _efx_masks(self.table)
-
-    def _sweep_both_masks(self) -> None:
-        """Cache `ef1_mask` and `efx_mask` from one joint walk when neither
-        is cached yet. With one cached, leave the other to its own sweep,
-        run when it is first read."""
-        cached = vars(self)
-        if "ef1_mask" not in cached and "efx_mask" not in cached:
-            cached["ef1_mask"], cached["efx_mask"] = _removal_masks(self.table)
+        EFX for this valuation (see `_removal_masks`)."""
+        return self._masks[1]
 
     def __repr__(self) -> str:
         kind = "additive" if self.item_values is not None else "table"
         return f"Valuation(m={self.m}, kind={kind}, denom={self.denom})"
-
-
-def _ef1_masks(tables: np.ndarray) -> np.ndarray:
-    """EF1 masks of tables indexed by bundle along the last axis (leading
-    axes are a batch). A bundle is EF1 exactly when its value reaches
-    min(complement's value, complement's cheapest single-item removal): the
-    threshold starts from the tables themselves and the sweep takes in the
-    removals."""
-    return _removal_mask(tables, tables, np.minimum)
-
-
-def _efx_masks(tables: np.ndarray) -> np.ndarray:
-    """EFX masks of tables indexed by bundle along the last axis (leading
-    axes are a batch). EFX compares against the complement's costliest
-    single-item removal, so the threshold starts from 0: the full bundle
-    passes vacuously, and values are nonnegative."""
-    return _removal_mask(tables, 0, np.maximum)
-
-
-def _removal_mask(t: np.ndarray, seed, reduce) -> np.ndarray:
-    """Read-only mask of bundles b with t[..., b] >= thresh[..., c], c = b's
-    complement, after one sweep folds t over one-item removals into
-    `thresh` with `reduce` (np.minimum or np.maximum). Bundles run along the
-    last axis, and each leading index is its own table. `thresh` is the
-    walk's seeded output: `seed` (t itself, or a scalar) is the
-    definition's value before any removal, filled in tile by tile, so no
-    seeded copy of the tables is made. It serves a request for one mask:
-    `ef1_mask` or `efx_mask` alone. For both masks, `_removal_masks`' one
-    joint walk is faster than two of these.
-
-    The compare runs forward, chunk by chunk: each chunk of bundles meets
-    a forward copy of its complements' chunk, in a scratch of at most
-    _TILE_ENTRIES entries. One compare that read long rows backwards would
-    cost about 1.5 times as much."""
-    thresh = np.empty(t.shape, dtype=t.dtype)
-    for _, t_lo, _, _, th_hi in _covering_halves(read=[t], seeded=[(thresh, seed)]):
-        reduce(th_hi, t_lo, out=th_hi)
-    n = t.shape[-1]
-    mask = np.empty(t.shape, dtype=bool)
-    width = max(1, min(n, _TILE_ENTRIES * n // t.size))
-    scratch = np.empty((*t.shape[:-1], width), dtype=t.dtype)
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        mirrored = scratch[..., : stop - start]
-        mirrored[...] = thresh[..., n - stop : n - start][..., ::-1]
-        np.greater_equal(t[..., start:stop], mirrored, out=mask[..., start:stop])
-    mask.setflags(write=False)
-    return mask
 
 
 def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,8 +444,7 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Transient memory is rt, as large as the table, plus a scratch of at
     most _TILE_ENTRIES bytes, in which each item's compare runs block by
     block. Once the EF1 mask holds t >= rt, rt's bytes hold m - |b| and
-    then the n[b] != m - |b| flags, and the EFX mask is written over n.
-    `_removal_mask`'s threshold walk is faster for one mask alone."""
+    then the n[b] != m - |b| flags, and the EFX mask is written over n."""
     size = tables.shape[-1]
     m = size.bit_length() - 1
     rt = tables[..., ::-1].copy()

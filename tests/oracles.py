@@ -6,6 +6,7 @@ predicates spell out their definitions over those dicts, counting is a plain
 scan, and the extremal-set-theory answers come from exhaustive enumeration.
 """
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, inf
@@ -168,6 +169,36 @@ def count_allocations(inst, predicate):
         if predicate(u1, items, bundle) and predicate(u2, items, items - bundle):
             total += 1
     return total
+
+
+def count_by_types(w1, w2):
+    """(EF1 count, EFX count) of the additive instance whose agents value
+    item i at the integers w1[i] and w2[i], without the 2^m bundles.
+
+    A type is a distinct pair (w1[i], w2[i]). Whether an allocation is fair
+    depends only on its profile, how many items of each type agent 1 holds,
+    and a profile (a_t) stands for prod C(c_t, a_t) allocations, c_t the
+    number of items of type t. For each agent, own is its bundle and other
+    the other agent's: EF1 holds when v(own) >= v(other) minus the largest
+    item value in other (0 when other is empty); EFX when other is empty or
+    v(own) >= v(other) minus the least item value in other, zero values
+    included."""
+    types = Counter(zip(w1, w2))
+    values = np.array(list(types), dtype=np.int64)
+    sizes = np.array(list(types.values()))
+    held_1 = np.indices(sizes + 1).reshape(len(sizes), -1).T
+    weights = np.ones(len(held_1), dtype=object)
+    for t, c in enumerate(sizes.tolist()):
+        weights *= np.array([comb(c, a) for a in range(c + 1)], dtype=object)[held_1[:, t]]
+    ef1 = efx = np.ones(len(held_1), dtype=bool)
+    for w, own, other in ((values[:, 0], held_1, sizes - held_1), (values[:, 1], sizes - held_1, held_1)):
+        mine, theirs = own @ w, other @ w
+        present = other > 0
+        largest = np.where(present, w, 0).max(axis=1)
+        least = np.where(present, w, np.iinfo(np.int64).max).min(axis=1)
+        ef1 = ef1 & (mine >= theirs - largest)
+        efx = efx & (~present.any(axis=1) | (mine >= theirs - least))
+    return sum(weights[ef1].tolist()), sum(weights[efx].tolist())
 
 
 def s_max_by_levels(m):

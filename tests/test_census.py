@@ -3,7 +3,6 @@ import math
 import pickle
 import re
 import time
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -48,6 +47,7 @@ from oracles import (
     classification_systems,
     item_pairs,
     count_allocations,
+    count_by_types,
     ef1_ok,
     ef1_partition_reps,
     efx_ok,
@@ -85,6 +85,32 @@ def test_count_ef1_tight_odd(m, expected):
 @pytest.mark.parametrize("m", range(1, 11))
 def test_count_efx_tight(m):
     assert count_efx_allocations(tight_efx_instance(m)) == 2
+
+
+@pytest.mark.parametrize("m", range(13, 23))
+def test_counts_above_m12_equal_the_count_by_types(m):
+    """Above the reach of the bundle-by-bundle oracle, both counts of
+    additive instances with item values 0..k (ties everywhere) equal the
+    count by item types (tests/oracles.py), and at m = 16 also with every
+    value scaled past int32."""
+    rng = np.random.default_rng(m)
+    for k in (1, 2):
+        for _ in range(2):
+            w1, w2 = (rng.integers(0, k + 1, size=m).tolist() for _ in range(2))
+            expected = count_by_types(w1, w2)
+            for scale in (1, 1 << 31) if m == 16 else (1,):
+                inst = Instance(make_additive([x * scale for x in w1]), make_additive([x * scale for x in w2]))
+                assert (count_ef1_allocations(inst), count_efx_allocations(inst)) == expected
+
+
+@pytest.mark.parametrize("m", [100, 101, 1000, 1001, 2000])
+def test_count_by_types_meets_the_tight_bounds(m):
+    """The count by item types alone, with no 2^m arrays, gives the tight
+    families their closed forms far beyond MAX_ITEMS."""
+    ef1 = [1] * m if m % 2 == 0 else [1] * (m - 1) + [0]
+    efx = [1] * (m - 1) + [m]
+    assert count_by_types(ef1, ef1)[0] == f_ef1(m)
+    assert count_by_types(efx, efx)[1] == 2
 
 
 def test_count_examples():
@@ -216,7 +242,7 @@ def test_no_ef1_mask_of_a_raw_table_has_an_upward_crossing(m):
     verify_separation). The downward step, which monotonicity rules out,
     does occur on raw tables."""
     tables = np.random.default_rng(m).integers(0, 6, size=(1000, 1 << m))
-    too_small, too_large, _ = census._bundle_classes(model._ef1_masks(tables))
+    too_small, too_large, _ = census._bundle_classes(model._removal_masks(tables)[0])
     upward = downward = False
     for lo, hi in item_pairs(m):
         upward |= (too_small[:, lo] & too_large[:, hi]).any()
@@ -457,7 +483,7 @@ def test_efx_partition_equals_the_full_scan(monkeypatch, m):
 
 def test_efx_partition_raises_without_a_two_sided_split():
     v = random_monotone(10, 3)
-    v.__dict__["efx_mask"] = np.zeros(1 << 10, dtype=bool)
+    v.__dict__["_masks"] = (v.ef1_mask, np.zeros(1 << 10, dtype=bool))
     with pytest.raises(RuntimeError, match="no two-sided EFX split"):
         efx_partition(v)
 
@@ -535,65 +561,50 @@ def test_census_report_fairness_selection():
         census_report(inst, "all")
 
 
-def test_census_report_ef1_leaves_the_efx_masks_unswept():
-    inst = random_instance(5, 8)
-    census_report(inst, "ef1")
-    assert "efx_mask" not in vars(inst.v1) and "efx_mask" not in vars(inst.v2)
-
-
 def _mask_walks(monkeypatch, inst):
     """The list that records each covering walk reading one of inst's
-    tables: (valuation, number of read arrays), 2 for the joint walk (the
-    table and its reversal) and 1 for a threshold walk."""
+    tables, by the valuation whose table it reads."""
     walks = []
     real = model._covering_halves
 
     def recorded(read=(), **arrays):
-        walks.extend((v, len(read)) for v in (inst.v1, inst.v2) if read and read[0] is v.table)
+        walks.extend(v for v in (inst.v1, inst.v2) if read and read[0] is v.table)
         return real(read=read, **arrays)
 
     monkeypatch.setattr(model, "_covering_halves", recorded)
     return walks
 
 
-def test_census_report_both_walks_each_valuation_once(monkeypatch):
-    """A fresh instance's "both" report runs one joint walk per valuation
-    and caches both masks, so the cut-and-choose that follows walks
-    nothing."""
+def _assert_one_walk_per_valuation(monkeypatch, kind):
+    """A fresh instance's report of `kind` runs one joint walk per
+    valuation and caches both masks, so the cut-and-choose, set systems,
+    partitions and predicates that follow walk nothing."""
     inst = random_instance(9, 4)
     walks = _mask_walks(monkeypatch, inst)
-    census_report(inst, "both")
-    assert walks == [(inst.v1, 2), (inst.v2, 2)]
+    census_report(inst, kind)
+    assert walks == [inst.v1, inst.v2]
     for v in (inst.v1, inst.v2):
-        assert "ef1_mask" in vars(v) and "efx_mask" in vars(v)
+        assert "_masks" in vars(v)
     cut_and_choose_efx(inst)
-    assert len(walks) == 2
+    for v in (inst.v1, inst.v2):
+        extract_set_systems(v)
+        list_ef1_partitions(v)
+        efx_partition(v)
+        is_ef1_bundle(v, 5)
+        is_efx_bundle(v, 5)
+        classify_bundle(v, 5)
+    is_ef1_allocation(inst, 5)
+    is_efx_allocation(inst, 5)
+    assert walks == [inst.v1, inst.v2]
 
 
-@pytest.mark.parametrize("cached", ["ef1_mask", "efx_mask"])
-def test_census_report_both_sweeps_only_the_missing_mask(monkeypatch, cached):
-    """With one of agent 1's masks cached, a "both" report sweeps only the
-    other, by its threshold walk, keeps the cached one, and walks agent 2
-    once, jointly."""
-    inst = random_instance(9, 6)
-    kept = getattr(inst.v1, cached)
-    walks = _mask_walks(monkeypatch, inst)
-    census_report(inst, "both")
-    assert len(walks) == 2 and set(walks) == {(inst.v1, 1), (inst.v2, 2)}
-    assert getattr(inst.v1, cached) is kept
+def test_census_report_both_walks_each_valuation_once(monkeypatch):
+    _assert_one_walk_per_valuation(monkeypatch, "both")
 
 
-def test_both_mask_paths_take_no_threshold_walk(monkeypatch):
-    """census_report(..., "both") on fresh valuations and every verify batch
-    read both masks from the joint walk alone."""
-
-    def threshold_walk(*args):
-        raise AssertionError("threshold walk on a both-mask path")
-
-    monkeypatch.setattr(model, "_removal_mask", threshold_walk)
-    seeds = [derive_seed(9, k) for k in range(4)]
-    reports = census._random_reports(7, seeds)
-    assert reports == [census_report(random_instance(7, seed), "both") for seed in seeds]
+@pytest.mark.parametrize("kind", ["ef1", "efx"])
+def test_census_report_of_one_kind_walks_each_valuation_once(monkeypatch, kind):
+    _assert_one_walk_per_valuation(monkeypatch, kind)
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -665,7 +676,7 @@ def test_bundle_classes_agree_on_scalars_vectors_and_words(m):
 
 
 def test_bundle_classes_agree_on_every_small_monotone_table():
-    _assert_one_class_cut(model._ef1_masks(monotone_tables(4, 2)))
+    _assert_one_class_cut(model._removal_masks(monotone_tables(4, 2))[0])
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 4), (4, 1)])
@@ -687,9 +698,9 @@ def _census_cases(m):
     and the EF1 masks of 6 random and 12 tie-heavy tables."""
     rng = np.random.default_rng(m)
     yield rng.random((6, 1 << m)) < 0.9
-    yield model._ef1_masks(model._random_tables(m, range(6)))
+    yield model._removal_masks(model._random_tables(m, range(6)))[0]
     ties = np.stack([small_value_table(m, 31 * m + k) for k in range(12)]).astype(np.int32)
-    yield model._ef1_masks(ties)
+    yield model._removal_masks(ties)[0]
 
 
 @pytest.mark.parametrize("m", range(1, 19))
@@ -720,11 +731,9 @@ def test_every_small_monotone_table(m, k, tables, distinct_ef1, distinct_efx, ef
     reached by a known number of pairs."""
     batch = monotone_tables(m, k)
     assert len(batch) == tables
-    ef1, efx = model._ef1_masks(batch), model._efx_masks(batch)
+    ef1, efx = model._removal_masks(batch)
     expected_ef1, expected_efx = removal_masks(batch)
     assert np.array_equal(ef1, expected_ef1) and np.array_equal(efx, expected_efx)
-    joint_ef1, joint_efx = model._removal_masks(batch)
-    assert np.array_equal(joint_ef1, ef1) and np.array_equal(joint_efx, efx)
     got = _packed_class_census(ef1)
     for g, e in zip(got, class_census(ef1)):
         assert np.array_equal(g, e)
@@ -906,34 +915,15 @@ def test_pickle_keeps_the_table_dtype_and_read_only():
 # per-valuation mask cache
 
 
-def _count_mask_sweeps(monkeypatch):
-    """Wrap both cached mask properties of Valuation, and the joint walk
-    that sweeps both masks of a table at once, so each sweep that runs is
-    counted per mask; returns the live counts."""
-    calls = {"ef1_mask": 0, "efx_mask": 0}
-    for name in calls:
-        sweep = getattr(Valuation, name).func
-
-        def counted(v, sweep=sweep, name=name):
-            calls[name] += 1
-            return sweep(v)
-
-        prop = cached_property(counted)
-        prop.__set_name__(Valuation, name)
-        monkeypatch.setattr(Valuation, name, prop)
+def test_each_mask_sweep_runs_once_per_valuation(monkeypatch):
+    calls = []
     joint = model._removal_masks
 
-    def counted_joint(tables):
-        for name in calls:
-            calls[name] += tables.size // tables.shape[-1]
+    def counted(tables):
+        calls.append(tables)
         return joint(tables)
 
-    monkeypatch.setattr(model, "_removal_masks", counted_joint)
-    return calls
-
-
-def test_each_mask_sweep_runs_once_per_valuation(monkeypatch):
-    calls = _count_mask_sweeps(monkeypatch)
+    monkeypatch.setattr(model, "_removal_masks", counted)
     inst = random_instance(6, 21)
     report = census_report(inst)
     cut_and_choose_efx(inst)
@@ -952,7 +942,7 @@ def test_each_mask_sweep_runs_once_per_valuation(monkeypatch):
     )
     is_ef1_allocation(inst, 5)
     is_efx_allocation(inst, 5)
-    assert calls == {"ef1_mask": 2, "efx_mask": 2}
+    assert len(calls) == 2
     for mask in (inst.v1.ef1_mask, inst.v2.efx_mask):
         with pytest.raises(ValueError):
             mask[0] = not mask[0]

@@ -27,6 +27,7 @@ from envy_census import (
     complement,
     derive_seed,
     dumps_instance,
+    f_ef1,
     hamming_distance,
     instance_from_dict,
     instance_to_dict,
@@ -51,6 +52,7 @@ from envy_census.model import _encode_number, _fixed_point, _parse_table
 from oracles import (
     additive_map,
     bundle_items,
+    count_by_types,
     dumps_reference,
     first_violation,
     item_pairs,
@@ -357,28 +359,25 @@ def test_covering_halves_walk_several_arrays_in_step(m):
 @pytest.mark.parametrize("rows, m", [(1, 3), (1, 12), (6, 11), (12, 17), (1, 18)])
 def test_covering_halves_array_roles(rows, m):
     """Read arrays are never written, updated arrays are read and written
-    back, and each seeded output starts from its seed, a scalar or a read
-    array, whatever it held before the walk."""
+    back, and a seeded output starts from its scalar seed, whatever it held
+    before the walk."""
     rng = np.random.default_rng(m)
     table = rng.integers(0, 100, size=(rows, 1 << m)).astype(np.int32)
     table.setflags(write=False)
     counts = rng.integers(0, 5, size=(rows, 1 << m))
     start = counts.copy()
-    lowest = np.full_like(table, -7)
     highest = np.full_like(table, 12345)
-    walk = model._covering_halves(read=[table], updated=[counts], seeded=[(lowest, table), (highest, 0)])
-    for _, t_lo, _, c_lo, c_hi, _, low_hi, _, high_hi in walk:
+    walk = model._covering_halves(read=[table], updated=[counts], seeded=[(highest, 0)])
+    for _, t_lo, _, c_lo, c_hi, _, high_hi in walk:
         c_hi += c_lo
-        np.minimum(low_hi, t_lo, out=low_hi)
         np.maximum(high_hi, t_lo, out=high_hi)
     expected_counts = start.copy()
-    expected_low, expected_high = table.copy(), np.zeros_like(table)
+    expected_high = np.zeros_like(table)
     for lo, hi in item_pairs(m):
         expected_counts[:, hi] += expected_counts[:, lo]
-        expected_low[:, hi] = np.minimum(expected_low[:, hi], table[:, lo])
         expected_high[:, hi] = np.maximum(expected_high[:, hi], table[:, lo])
     assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(lowest, expected_low) and np.array_equal(highest, expected_high)
+    assert np.array_equal(highest, expected_high)
 
 
 @pytest.fixture
@@ -553,13 +552,14 @@ def test_valuation_table_is_frozen():
 @pytest.mark.parametrize("v", [random_monotone(5, 3), make_additive([1, "1/2", 0])], ids=repr)
 def test_pickled_valuation_is_checked_frozen_and_without_masks(v):
     masks = v.ef1_mask, v.efx_mask
+    assert "_masks" in vars(v)
     data = pickle.dumps(v)
-    assert b"ef1_mask" not in data and b"efx_mask" not in data
+    assert b"_masks" not in data
     copy = pickle.loads(data)
     assert not copy.table.flags.writeable
     with pytest.raises(ValueError):
         copy.table[1] = 7
-    assert "ef1_mask" not in vars(copy) and "efx_mask" not in vars(copy)
+    assert "_masks" not in vars(copy)
     assert (copy.m, copy.denom, copy.item_values) == (v.m, v.denom, v.item_values)
     assert np.array_equal(copy.table, v.table)
     assert all(np.array_equal(a, b) for a, b in zip((copy.ef1_mask, copy.efx_mask), masks))
@@ -716,10 +716,10 @@ def test_random_tables_draw_the_integers_stream(monkeypatch, m):
     "rows, m", [(1, m) for m in range(1, 19)] + [(rows, m) for rows in (6, 12) for m in range(1, 17)]
 )
 def test_sweeps_equal_the_whole_lattice_references(rows, m):
-    """The closure and both removal masks of a batch, by their threshold
-    walks and by the joint walk, on more than one tile from m = 17 on
-    (sooner for a batch), equal the item-by-item references of
-    tests/oracles.py on random and on tie-heavy tables."""
+    """The closure and both removal masks of a batch (the joint walk), on
+    more than one tile from m = 17 on (sooner for a batch), equal the
+    item-by-item references of tests/oracles.py on random and on tie-heavy
+    tables."""
     seeds = [derive_seed(m, rows, k) for k in range(rows)]
     tables = model._random_tables(m, seeds)
     draws = np.stack([_closure_table(m, seed) for seed in seeds])
@@ -727,8 +727,6 @@ def test_sweeps_equal_the_whole_lattice_references(rows, m):
     ties = np.stack([small_value_table(m, seed % 1000) for seed in seeds]).astype(np.int32)
     for batch in (tables, ties):
         ef1, efx = removal_masks(batch)
-        assert np.array_equal(model._ef1_masks(batch), ef1)
-        assert np.array_equal(model._efx_masks(batch), efx)
         joint_ef1, joint_efx = model._removal_masks(batch)
         assert np.array_equal(joint_ef1, ef1) and np.array_equal(joint_efx, efx)
 
@@ -749,38 +747,33 @@ def test_joint_removal_masks_need_no_monotone_table(rows, m):
 
 @pytest.mark.parametrize("m", range(1, 23))
 def test_joint_removal_masks_of_the_tight_families(m):
-    """On both agents of the tight EF1 and EFX instances, up to m = 22
-    (64 tiles), the joint walk gives the single-mask threshold walks'
-    masks."""
-    for inst in (tight_ef1_instance(m), tight_efx_instance(m)):
-        for v in (inst.v1, inst.v2):
-            ef1, efx = model._removal_masks(v.table)
-            assert np.array_equal(ef1, model._ef1_masks(v.table))
-            assert np.array_equal(efx, model._efx_masks(v.table))
+    """Up to m = 22 (64 tiles), the joint walk's masks of the tight EF1 and
+    EFX agents give the counts by item type (tests/oracles.py): f_ef1(m)
+    EF1 allocations for the tight EF1 family, 2 EFX allocations for the
+    tight EFX family. Both agents of a tight instance share one valuation,
+    so a split counts when the bundle and its complement are both in the
+    mask."""
+    for inst, which, bound in ((tight_ef1_instance(m), 0, f_ef1(m)), (tight_efx_instance(m), 1, 2)):
+        values = [int(x) for x in inst.v1.item_values]
+        masks = model._removal_masks(inst.v1.table)
+        counts = tuple(int(np.count_nonzero(mask & mask[::-1])) for mask in masks)
+        assert counts == count_by_types(values, values)
+        assert counts[which] == bound
 
 
-def test_joint_walk_peak_is_no_higher_than_two_threshold_walks():
-    """The joint walk's transient memory is the reversed table, whose bytes
-    it reuses, plus its outputs: at m = 20 (16 tiles) its traced peak is no
-    higher than that of the two threshold walks run back to back, the first
-    mask held while the second sweeps. (At m <= 16 one tile holds a whole
-    table, and the joint walk's extra uint8 tile and scratch are not
-    offset by a held mask.)"""
-    table = random_monotone(20, 5).table
-
-    def peak(run) -> int:
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def threshold_walks():
-        ef1 = model._ef1_masks(table)
-        return ef1, model._efx_masks(table)
-
-    assert peak(lambda: model._removal_masks(table)) <= peak(threshold_walks)
+def test_joint_walk_peak_is_the_reversed_table_the_masks_and_a_scratch():
+    """The joint walk's transient memory at m = 20 (16 tiles): its traced
+    peak is no more than the reversed table, whose bytes it reuses, the two
+    one-byte masks, a scratch of _TILE_ENTRIES bytes and 64 KiB of slack."""
+    m = 20
+    table = random_monotone(m, 5).table
+    tracemalloc.start()
+    try:
+        model._removal_masks(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 2 * (1 << m) + model._TILE_ENTRIES + (64 << 10)
 
 
 def test_random_monotone_passes_checks():
