@@ -94,15 +94,13 @@ def _marks_above(words: np.ndarray, closed: bool = False) -> np.ndarray:
     marked in `words`, or with `closed`, of every bundle strictly above
     one, where each item's step also moves the marks of the steps before
     it. Items 6 and up are the items of the word lattice, walked by
-    `model._covering_halves` with the marks as its seeded output; items
+    `model._covering_halves` with the marks as its zeroed output; items
     0..5 move bits within a word, by a shift and a mask. All six run
     whatever m is: in a lattice of fewer than 64 bundles the items past
     m - 1 only move marks into the padding bits, which never move back,
     so a caller that ANDs the marks with words clear there reads none."""
     above = np.empty_like(words)
-    for _, marked_lo, _, above_lo, above_hi in model._covering_halves(
-        read=[words], seeded=[(above, 0)]
-    ):
+    for _, marked_lo, _, above_lo, above_hi in model._covering_halves(read=[words], zeroed=[above]):
         if closed:
             above_hi |= above_lo
         above_hi |= marked_lo
@@ -130,9 +128,10 @@ def hamming_distance(a: int, b: int) -> int:
 def _bundle_vectors(*systems: Iterable[int], m: int | None = None) -> list[np.ndarray]:
     """Each system as a boolean vector over the 2^m bundles; without m, for
     the least m that holds every member of every system. Members follow
-    `model._bundle_array`'s rule, and the first one outside [0, 2^m)
-    (without m, [0, 2^MAX_ITEMS)) raises ValueError."""
-    arrays = [model._bundle_array(system) for system in systems]
+    `model._bundle_array`'s rule, an array of any shape being read as its
+    entries, and the first one outside [0, 2^m) (without m,
+    [0, 2^MAX_ITEMS)) raises ValueError."""
+    arrays = [model._bundle_array(s.ravel() if isinstance(s, np.ndarray) else s) for s in systems]
     flat = np.concatenate(arrays)
     top = model.MAX_ITEMS if m is None else m
     bad = (flat < 0) | (flat >= 1 << top)

@@ -190,7 +190,7 @@ def _halves(arrays, lead: tuple, bit: int, run: int) -> tuple:
     return tuple(halves)
 
 
-def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
+def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     """Walk every covering pair of the bundle lattice, one item at a time:
     the closure sweeps, whose updates compound over items (additive tables
     are built by doubling instead, see `_additive_table`).
@@ -199,15 +199,14 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     axis, which holds 2^m entries; any leading axes are a batch of
     independent lattices, walked together. Each array has one role:
     `read` arrays are only read; `updated` arrays are read and written;
-    each `seeded` entry is an (out, seed) pair whose output starts as the
-    scalar `seed` before any item and is then written. Updated and seeded
-    arrays must be C-contiguous.
+    `zeroed` arrays are outputs, which read 0 before any item and are then
+    written. Updated and zeroed arrays must be C-contiguous.
 
     For item i this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with
-    bit = 2^i, over the read, then the updated, then the seeded arrays:
+    bit = 2^i, over the read, then the updated, then the zeroed arrays:
     hi_k holds the bundles of lo_k plus item i, entry for entry, so over
     the m items every covering pair of every lattice appears exactly once.
-    Consumers may write the halves of updated and seeded arrays, and must
+    Consumers may write the halves of updated and zeroed arrays, and must
     not rely on an entry's position or on the order of the items.
 
     The high items, from ceil(m/2) up, yield the two halves of the last
@@ -221,8 +220,8 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     of bit * R contiguous entries, and the low items of the tile are
     yielded in turn, as views of the buffers. A read array's tile is
     transposed in; an updated array's is transposed in and written back; a
-    seeded output's is filled from its seed and written back, so the
-    output is never read before the walk writes it.
+    zeroed output's is filled with 0 and written back, so the output is
+    never read before the walk writes it.
 
     From its first item on, the walk sets numpy's ufunc buffer to
     _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
@@ -233,7 +232,7 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
     statement: a walk bound to a name would stay open, and keep the
     buffer, for as long as a traceback holds the consumer's frame.
     """
-    arrays = [*read, *updated, *(out for out, _ in seeded)]
+    arrays = [*read, *updated, *zeroed]
     lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
     m = size.bit_length() - 1
     low = (m + 1) // 2
@@ -248,8 +247,8 @@ def _covering_halves(read=(), updated=(), seeded=()) -> Iterator[tuple]:
         for r in range(0, rows, tile):
             for grid, buf in zip(grids[:loaded], bufs):
                 buf[...] = grid[r : r + tile].T
-            for (_, seed), buf in zip(seeded, bufs[loaded:]):
-                buf[...] = seed
+            for buf in bufs[loaded:]:
+                buf[...] = 0
             yield from tile_halves
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
                 grid[r : r + tile] = buf.T
@@ -441,17 +440,17 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b is EFX iff n[b] == 0, and EF1 iff t[b] >= rt[b] or n[b] != m - |b|,
     the number of items outside b: exact for any table, monotone or not.
 
-    Transient memory is rt, as large as the table, plus a scratch of at
-    most _TILE_ENTRIES bytes, in which each item's compare runs block by
-    block. Once the EF1 mask holds t >= rt, rt's bytes hold m - |b| and
-    then the n[b] != m - |b| flags, and the EFX mask is written over n."""
+    Transient memory is rt, as large as the table. Each item's compare is
+    a boolean temporary of at most half the entries, freed before the final
+    compares, which set the peak. Once the EF1 mask holds t >= rt, rt's
+    bytes hold m - |b| and then the n[b] != m - |b| flags, and the EFX mask
+    is written over n."""
     size = tables.shape[-1]
     m = size.bit_length() - 1
     rt = tables[..., ::-1].copy()
     counts = np.empty(tables.shape, dtype=np.uint8)
-    scratch = np.empty(min(_TILE_ENTRIES, tables.size // 2), dtype=np.uint8)
-    for _, t_lo, _, _, rt_hi, n_lo, _ in _covering_halves(read=[tables, rt], seeded=[(counts, 0)]):
-        _add_less(t_lo, rt_hi, n_lo, scratch)
+    for _, t_lo, _, _, rt_hi, n_lo, _ in _covering_halves(read=[tables, rt], zeroed=[counts]):
+        np.add(n_lo, np.less(t_lo, rt_hi).view(np.uint8), out=n_lo)
     ef1 = np.greater_equal(tables, rt)
     free = rt.reshape(-1).view(np.uint8)
     outside = free[:size]
@@ -464,27 +463,6 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ef1.setflags(write=False)
     efx.setflags(write=False)
     return ef1, efx
-
-
-def _add_less(a: np.ndarray, b: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> None:
-    """counts += (a < b) over one item's halves of a covering walk, shaped
-    (..., run), through the uint8 scratch. Halves larger than the scratch
-    (high items') go in blocks that fit it: whole runs while a run fits,
-    else pieces of one run. The halves' leading axes are evenly strided, so
-    the reshapes are views and the adds reach `counts`."""
-    if a.size <= scratch.size:
-        less = scratch[: a.size].reshape(a.shape)
-        np.less(a, b, out=less.view(bool))
-        np.add(counts, less, out=counts)
-        return
-    run = a.shape[-1]
-    a, b, counts = (x.reshape(-1, run) for x in (a, b, counts))
-    width = min(run, scratch.size)
-    step = scratch.size // width
-    for r in range(0, a.shape[0], step):
-        for c in range(0, run, width):
-            block = np.s_[r : r + step, c : c + width]
-            _add_less(a[block], b[block], counts[block], scratch)
 
 
 def _table_dtype(top: int) -> type:

@@ -276,6 +276,27 @@ def test_members_follow_the_bundle_rule():
             verify_harper({0}, members, 3)
 
 
+def test_integer_arrays_of_any_shape_are_read_as_their_entries():
+    """A zero-dimensional or nested integer array, int64 or object, is the
+    system of its entries, as in combine_ef1_partitions, and a range error
+    still names the first bad member, systems taken in argument order."""
+    assert system_distance(np.array(3), [1]) == 1
+    assert is_sperner(np.array(5)) is True
+    assert is_sperner(np.array(5, dtype=object)) is True
+    assert is_sperner(np.array([[1, 2]], dtype=object)) is True
+    assert is_sperner(np.array([[1], [3]], dtype=object)) is False
+    assert verify_harper(np.array([[7]]), [0], 3) == verify_harper({7}, {0}, 3)
+    assert verify_harper(np.array([[7]]), [0], 3).ok
+    assert system_distance(np.array([[1, 2], [4, 8]]), np.array([[[3]]])) == 1
+    assert is_sperner(np.array([[1, 2], [4, 3]])) is False
+    with pytest.raises(ValueError, match=r"^bundle -3 is outside"):
+        system_distance(np.array([[1, -3], [1 << MAX_ITEMS, 0]]), np.array(-7))
+    with pytest.raises(ValueError, match=rf"^bundle {1 << MAX_ITEMS} is outside"):
+        system_distance(np.array([[1], [2]]), np.array([[1 << MAX_ITEMS, -1]]))
+    with pytest.raises(ValueError, match=r"^bundle 9 is outside 0\.\.2\^3-1$"):
+        verify_harper(np.array([[0, 1], [9, -1]]), np.array(8), 3)
+
+
 # ---------------------------------------------------------------------------
 # Hamming balls
 

@@ -359,15 +359,15 @@ def test_covering_halves_walk_several_arrays_in_step(m):
 @pytest.mark.parametrize("rows, m", [(1, 3), (1, 12), (6, 11), (12, 17), (1, 18)])
 def test_covering_halves_array_roles(rows, m):
     """Read arrays are never written, updated arrays are read and written
-    back, and a seeded output starts from its scalar seed, whatever it held
-    before the walk."""
+    back, and a zeroed output reads 0 before the walk writes it, whatever
+    it held before the walk."""
     rng = np.random.default_rng(m)
     table = rng.integers(0, 100, size=(rows, 1 << m)).astype(np.int32)
     table.setflags(write=False)
     counts = rng.integers(0, 5, size=(rows, 1 << m))
     start = counts.copy()
     highest = np.full_like(table, 12345)
-    walk = model._covering_halves(read=[table], updated=[counts], seeded=[(highest, 0)])
+    walk = model._covering_halves(read=[table], updated=[counts], zeroed=[highest])
     for _, t_lo, _, c_lo, c_hi, _, high_hi in walk:
         c_hi += c_lo
         np.maximum(high_hi, t_lo, out=high_hi)
@@ -764,7 +764,9 @@ def test_joint_removal_masks_of_the_tight_families(m):
 def test_joint_walk_peak_is_the_reversed_table_the_masks_and_a_scratch():
     """The joint walk's transient memory at m = 20 (16 tiles): its traced
     peak is no more than the reversed table, whose bytes it reuses, the two
-    one-byte masks, a scratch of _TILE_ENTRIES bytes and 64 KiB of slack."""
+    one-byte masks and a margin of _TILE_ENTRIES bytes plus 64 KiB. Each
+    item's compare is a temporary of at most half the entries, freed before
+    the final compares, which set the peak."""
     m = 20
     table = random_monotone(m, 5).table
     tracemalloc.start()
