@@ -221,7 +221,8 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     yielded in turn, as views of the buffers. A read array's tile is
     transposed in; an updated array's is transposed in and written back; a
     zeroed output's is filled with 0 and written back, so the output is
-    never read before the walk writes it.
+    never read before the walk writes it. The tile buffers are released
+    before the high items.
 
     From its first item on, the walk sets numpy's ufunc buffer to
     _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
@@ -252,6 +253,7 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
             yield from tile_halves
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
                 grid[r : r + tile] = buf.T
+        del grids, bufs, tile_halves, grid, buf
         for i in range(low, m):
             yield _halves(arrays, lead, 1 << i, 1 << i)
     finally:
@@ -440,11 +442,14 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b is EFX iff n[b] == 0, and EF1 iff t[b] >= rt[b] or n[b] != m - |b|,
     the number of items outside b: exact for any table, monotone or not.
 
-    Transient memory is rt, as large as the table. Each item's compare is
-    a boolean temporary of at most half the entries, freed before the final
-    compares, which set the peak. Once the EF1 mask holds t >= rt, rt's
-    bytes hold m - |b| and then the n[b] != m - |b| flags, and the EFX mask
-    is written over n."""
+    Transient memory is rt, as large as the table, and the walk's tile
+    buffers, 9 bytes per tile entry (576 KiB for int32 tables), released
+    before the high items. Each item's compare is a boolean temporary of at
+    most half the entries, freed before the final compares. For one int32
+    table the final compares set the peak from m = 20 up, and the tile
+    buffers below. Once the EF1 mask holds t >= rt, rt's bytes hold m - |b|
+    and then the n[b] != m - |b| flags, and the EFX mask is written over
+    n."""
     size = tables.shape[-1]
     m = size.bit_length() - 1
     rt = tables[..., ::-1].copy()

@@ -12,9 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envy_census import census_report, derive_seed, load_instance, random_instance
+from envy_census import (
+    Instance, Valuation, census_report, derive_seed, dumps_instance, load_instance, random_instance,
+)
 from envy_census import cli as cli_module
 from envy_census.cli import CSV_COLUMNS, build_parser, main
+
+from oracles import small_value_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,6 +87,7 @@ def test_gen_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "tight-ef1", "--m", "25"])
     assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: argument --m: item count must be in 1..24, got 25\n")
     with pytest.raises(SystemExit) as exc:
         main(["gen", "additive", "--m", "2", "--values", "inf,1"])
     assert exc.value.code == 1
@@ -170,6 +175,58 @@ def test_count_single_item_instance(tmp_path, capsys):
     assert code == 0
     assert report["ef1_count"] == "2"
     assert report["efx_count"] == "2"
+
+
+# One instance file per `gen` kind, and a tie-heavy table instance whose
+# agents differ (good counts 46 and 32).
+COUNT_INPUTS = {
+    "tight-ef1": ["tight-ef1", "--m", "6"],
+    "tight-efx": ["tight-efx", "--m", "6"],
+    "additive": ["additive", "--m", "5", "--values", "3,1,1,2,5", "--values2", "1,1,3,2,2"],
+    "random-monotone": ["random-monotone", "--m", "10", "--seed", "1"],
+    "ties": None,
+}
+
+
+def _count_input(capsys, tmp_path, name) -> str:
+    path = tmp_path / f"{name}.json"
+    if COUNT_INPUTS[name] is None:
+        agents = (Valuation(6, small_value_table(6, seed)) for seed in (1, 52))
+        path.write_text(dumps_instance(Instance(*agents)))
+    else:
+        assert run_cli(capsys, "gen", *COUNT_INPUTS[name], "--out", str(path))[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("name", COUNT_INPUTS)
+def test_count_single_kind_is_the_both_report_without_the_other_count(tmp_path, capsys, name):
+    """`--fairness ef1` prints the both-report's JSON text without its
+    efx_count line, and `--fairness efx` without its ef1_count line."""
+    path = _count_input(capsys, tmp_path, name)
+    code, both, _ = run_cli(capsys, "count", path)
+    assert code == 0
+    lines = both.splitlines(keepends=True)
+    for kind, other in (("ef1", "efx"), ("efx", "ef1")):
+        kept = [line for line in lines if not line.startswith(f'  "{other}_count": ')]
+        assert len(kept) == len(lines) - 1
+        assert run_cli(capsys, "count", path, "--fairness", kind) == (0, "".join(kept), "")
+
+
+@pytest.mark.parametrize("name", COUNT_INPUTS)
+def test_count_lists_hold_the_report_class_counts(tmp_path, capsys, name):
+    """For each agent, `--list good`, `too-small`, `too-large` and
+    `ef1-partitions` print good_count, too_small_count, too_small_count and
+    good_count / 2 bundles: the lists come from boolean class vectors, the
+    report's counts from popcounts of packed words."""
+    path = _count_input(capsys, tmp_path, name)
+    report = json.loads(run_cli(capsys, "count", path)[1])
+    for agent in (1, 2):
+        good, small = (int(report[key][agent - 1]) for key in ("good_count", "too_small_count"))
+        classes = (("good", good), ("too-small", small), ("too-large", small), ("ef1-partitions", good / 2))
+        for kind, lines in classes:
+            code, out, _ = run_cli(capsys, "count", path, "--list", kind, "--agent", str(agent))
+            assert code == 0
+            assert out.count("\n") == lines, (agent, kind)
 
 
 def test_count_list_partitions(tmp_path, capsys):
@@ -324,13 +381,16 @@ def _recording_batches(monkeypatch) -> list:
 
 
 def test_verify_jobs_matches_serial_on_every_batch_size(capsys):
-    """3 trials per m: one short batch up to ONE_ROW_M - 2, a full batch of
-    two and a short last one at ONE_ROW_M - 1, one-row batches at ONE_ROW_M."""
-    argv = ("verify", "--m-range", f"1..{ONE_ROW_M}", "--trials", "3", "--seed", "6")
-    _, serial, _ = run_cli(capsys, *argv)
-    code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
-    assert code == 0
-    assert _strip_elapsed(parallel) == _strip_elapsed(serial)
+    """3 and 5 trials per m: one short batch up to ONE_ROW_M - 3; at
+    ONE_ROW_M - 2, whose batches hold four rows, a short batch, or a full
+    one and a short last one; full batches of two and a short last one at
+    ONE_ROW_M - 1; one-row batches at ONE_ROW_M."""
+    for trials in ("3", "5"):
+        argv = ("verify", "--m-range", f"1..{ONE_ROW_M}", "--trials", trials, "--seed", "6")
+        _, serial, _ = run_cli(capsys, *argv)
+        code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        assert _strip_elapsed(parallel) == _strip_elapsed(serial)
 
 
 def test_verify_rows_are_census_reports_across_batch_boundaries(capsys, monkeypatch):
