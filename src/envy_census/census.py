@@ -33,7 +33,7 @@ complements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -212,15 +212,18 @@ def combine_ef1_partitions(
     """Merge per-agent EF1 partition lists into distinct EF1 allocations.
 
     Inputs are canonical partition representatives (the format of
-    list_ef1_partitions): each must be EF1 on both sides for its agent, or a
-    ValueError is raised. A partition on both lists contributes both
-    orderings; a partition on one list contributes the ordering where the
-    *other* agent takes a weakly preferred side (ties go to the
-    representative). The result therefore has exactly one allocation per
+    list_ef1_partitions), an array of any shape being read as its entries:
+    each must be EF1 on both sides for its agent, or a ValueError is
+    raised. A partition on both lists contributes both orderings; a
+    partition on one list contributes the ordering where the *other* agent
+    takes a weakly preferred side (ties go to the representative). The result therefore has exactly one allocation per
     distinct representative on each list, all EF1.
     """
     what = "canonical partition representative"
-    arrays = [model._bundle_array(p, what) for p in (partitions_1, partitions_2)]
+    arrays = [
+        model._bundle_array(p.ravel() if isinstance(p, np.ndarray) else p, what)
+        for p in (partitions_1, partitions_2)
+    ]
     # Each agent's proposals marked over the canonical half.
     marks = np.zeros((2, 1 << (inst.m - 1)), dtype=bool)
     for agent, (arr, mark, v) in enumerate(zip(arrays, marks, (inst.v1, inst.v2)), start=1):
@@ -330,9 +333,11 @@ def census_report(inst: Instance, fairness_kind: str = "both") -> CensusReport:
     if fairness_kind not in ("ef1", "efx", "both"):
         raise ValueError(f"fairness must be 'ef1', 'efx', or 'both', got {fairness_kind!r}")
     agents = (inst.v1, inst.v2)
-    ef1 = [v.ef1_mask[None] for v in agents]
-    efx = [v.efx_mask[None] for v in agents] if fairness_kind != "ef1" else None
-    return _reports(inst.m, ef1, efx, fairness_kind)[0]
+    report = _reports(inst.m, [v.ef1_mask[None] for v in agents], [v.efx_mask[None] for v in agents])[0]
+    if fairness_kind == "both":
+        return report
+    # One joint walk fills both masks, so the count not asked for is blanked, not skipped.
+    return replace(report, **{"efx_count" if fairness_kind == "ef1" else "ef1_count": None})
 
 
 def _random_reports(m: int, seeds: Sequence[int]) -> list[CensusReport]:
@@ -344,21 +349,20 @@ def _random_reports(m: int, seeds: Sequence[int]) -> list[CensusReport]:
     agent_seeds = [pair[agent] for agent in (0, 1) for pair in pairs]
     tables = model._random_tables(m, agent_seeds)
     ef1, efx = (mask.reshape(2, len(seeds), -1) for mask in model._removal_masks(tables))
-    return _reports(m, ef1, efx, "both")
+    return _reports(m, ef1, efx)
 
 
-def _reports(m: int, ef1, efx, fairness_kind: str) -> list[CensusReport]:
-    """The census reports of K instances on m items from their agents'
-    masks: `ef1` and `efx` each hold agent 1's and agent 2's (K, 2^m) masks,
-    and `efx` is None when fairness_kind is "ef1"."""
+def _reports(m: int, ef1, efx) -> list[CensusReport]:
+    """The census reports of K instances on m items, both counts each, from
+    their agents' masks: `ef1` and `efx` each hold agent 1's and agent 2's
+    (K, 2^m) masks."""
     # Each agent's EF1 mask packed once each way: the class census reads
     # both, and the EF1 pair count agent 1's words and agent 2's mirror.
     words = [_words(e) for e in ef1]
     mirrored = [_words(e, reverse=True) for e in ef1]
     (small_1, good_1, sep_1), (small_2, good_2, sep_2) = map(_class_census, (m, m), words, mirrored)
-    rows = len(small_1)
-    ef1_counts = _popcounts(words[0] & mirrored[1]).tolist() if fairness_kind != "efx" else [None] * rows
-    efx_counts = _pair_counts(*efx).tolist() if fairness_kind != "ef1" else [None] * rows
+    ef1_counts = _popcounts(words[0] & mirrored[1]).tolist()
+    efx_counts = _pair_counts(*efx).tolist()
     bound = f_ef1(m)
     return [
         CensusReport(

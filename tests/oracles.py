@@ -171,6 +171,22 @@ def count_allocations(inst, predicate):
     return total
 
 
+def _profiles(keys):
+    """(values, sizes, held, weights) of the item types of `keys`, one key
+    per item: each distinct key t as a row of `values` (a column for scalar
+    keys), its item count c_t, every profile (a_t) with 0 <= a_t <= c_t as a
+    row of `held`, and the prod C(c_t, a_t) bundles each profile stands for,
+    as exact Python ints."""
+    types = Counter(keys)
+    values = np.array(list(types), dtype=np.int64).reshape(len(types), -1)
+    sizes = np.array(list(types.values()))
+    held = np.indices(sizes + 1).reshape(len(sizes), -1).T
+    weights = np.ones(len(held), dtype=object)
+    for t, c in enumerate(sizes.tolist()):
+        weights *= np.array([comb(c, a) for a in range(c + 1)], dtype=object)[held[:, t]]
+    return values, sizes, held, weights
+
+
 def count_by_types(w1, w2):
     """(EF1 count, EFX count) of the additive instance whose agents value
     item i at the integers w1[i] and w2[i], without the 2^m bundles.
@@ -183,13 +199,7 @@ def count_by_types(w1, w2):
     item value in other (0 when other is empty); EFX when other is empty or
     v(own) >= v(other) minus the least item value in other, zero values
     included."""
-    types = Counter(zip(w1, w2))
-    values = np.array(list(types), dtype=np.int64)
-    sizes = np.array(list(types.values()))
-    held_1 = np.indices(sizes + 1).reshape(len(sizes), -1).T
-    weights = np.ones(len(held_1), dtype=object)
-    for t, c in enumerate(sizes.tolist()):
-        weights *= np.array([comb(c, a) for a in range(c + 1)], dtype=object)[held_1[:, t]]
+    values, sizes, held_1, weights = _profiles(zip(w1, w2))
     ef1 = efx = np.ones(len(held_1), dtype=bool)
     for w, own, other in ((values[:, 0], held_1, sizes - held_1), (values[:, 1], sizes - held_1, held_1)):
         mine, theirs = own @ w, other @ w
@@ -199,6 +209,17 @@ def count_by_types(w1, w2):
         ef1 = ef1 & (mine >= theirs - largest)
         efx = efx & (~present.any(axis=1) | (mine >= theirs - least))
     return sum(weights[ef1].tolist()), sum(weights[efx].tolist())
+
+
+def too_small_by_types(w):
+    """Number of too-small bundles of the additive valuation that values
+    item i at the integer w[i], without the 2^m bundles: the bundles b, c
+    the complement, with v(b) < v(c) minus the largest item value in c (0
+    when c is empty), counted by profile as in count_by_types."""
+    values, sizes, held, weights = _profiles(w)
+    value, rest = values[:, 0], sizes - held
+    largest = np.where(rest > 0, value, 0).max(axis=1)
+    return sum(weights[held @ value < rest @ value - largest].tolist())
 
 
 def s_max_by_levels(m):

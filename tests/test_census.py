@@ -6,8 +6,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from envy_census import census, model
 from envy_census import (
@@ -58,12 +56,22 @@ from oracles import (
     removal_masks,
     s_max_by_levels,
     small_value_table,
+    too_small_by_types,
     valuation_map,
 )
 
-random_instances = st.builds(
-    random_instance, st.integers(1, 7), st.integers(0, 2**32)
-)
+
+def _bound_instances():
+    """For every m in 1..7: random instances at seeds 0, 1, 2^32 and a few
+    fixed ones, the tight families, which sit at the bounds, and pairs of
+    tie-heavy small-value tables."""
+    for m in range(1, 8):
+        for seed in (0, 1, 2**32, 7, 42, 2024):
+            yield random_instance(m, seed)
+        yield tight_ef1_instance(m)
+        yield tight_efx_instance(m)
+        for seed in range(0, 6, 2):
+            yield Instance(Valuation(m, small_value_table(m, seed)), Valuation(m, small_value_table(m, seed + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +97,36 @@ def test_count_efx_tight(m):
 
 @pytest.mark.parametrize("m", range(13, 23))
 def test_counts_above_m12_equal_the_count_by_types(m):
-    """Above the reach of the bundle-by-bundle oracle, both counts of
-    additive instances with item values 0..k (ties everywhere) equal the
-    count by item types (tests/oracles.py), and at m = 16 also with every
-    value scaled past int32."""
+    """Above the reach of the bundle-by-bundle oracle, the census report of
+    additive instances with item values 0..k (ties everywhere) equals the
+    counts by item types (tests/oracles.py): both allocation counts, each
+    agent's too-small count, and its good count, the 2^m bundles less the
+    too-small ones and their complements. At m = 16 also with every value
+    scaled past int32."""
     rng = np.random.default_rng(m)
     for k in (1, 2):
         for _ in range(2):
             w1, w2 = (rng.integers(0, k + 1, size=m).tolist() for _ in range(2))
-            expected = count_by_types(w1, w2)
+            counts = count_by_types(w1, w2)
+            too_small = (too_small_by_types(w1), too_small_by_types(w2))
             for scale in (1, 1 << 31) if m == 16 else (1,):
                 inst = Instance(make_additive([x * scale for x in w1]), make_additive([x * scale for x in w2]))
-                assert (count_ef1_allocations(inst), count_efx_allocations(inst)) == expected
+                report = census_report(inst)
+                assert (report.ef1_count, report.efx_count) == counts
+                assert report.too_small_count == too_small
+                assert report.good_count == tuple((1 << m) - 2 * s for s in too_small)
 
 
-@pytest.mark.parametrize("m", [100, 101, 1000, 1001, 2000])
+@pytest.mark.parametrize("m", [*range(1, 23), 100, 101, 1000, 1001, 2000])
 def test_count_by_types_meets_the_tight_bounds(m):
-    """The count by item types alone, with no 2^m arrays, gives the tight
-    families their closed forms far beyond MAX_ITEMS."""
+    """The counts by item types alone, with no 2^m arrays, give the tight
+    families their closed forms up to m = 22 and far beyond MAX_ITEMS: the
+    tight EF1 family's too-small class reaches Harper's cap s_max(m)."""
     ef1 = [1] * m if m % 2 == 0 else [1] * (m - 1) + [0]
     efx = [1] * (m - 1) + [m]
     assert count_by_types(ef1, ef1)[0] == f_ef1(m)
     assert count_by_types(efx, efx)[1] == 2
+    assert too_small_by_types(ef1) == s_max(m)
 
 
 def test_count_examples():
@@ -138,14 +154,13 @@ def test_counts_are_deterministic():
         assert (count_ef1_allocations(inst), count_efx_allocations(inst)) == first
 
 
-@given(random_instances)
-@settings(max_examples=40, deadline=None)
-def test_guaranteed_bounds_hold(inst):
-    ef1 = count_ef1_allocations(inst)
-    efx = count_efx_allocations(inst)
-    assert efx >= 2
-    assert ef1 >= f_ef1(inst.m)
-    assert efx <= ef1
+def test_guaranteed_bounds_hold():
+    for inst in _bound_instances():
+        ef1 = count_ef1_allocations(inst)
+        efx = count_efx_allocations(inst)
+        assert efx >= 2
+        assert ef1 >= f_ef1(inst.m)
+        assert efx <= ef1
 
 
 def test_f_ef1_values():
@@ -341,8 +356,16 @@ def _first_bad_representative(inst, partitions_1, partitions_2):
 
 def test_combine_names_the_first_bad_representative():
     pair = make_additive([1, 1])
+    inst = Instance(pair, pair)
     with pytest.raises(ValueError, match=r"^partition 0 is not EF1 for agent 1$"):
-        combine_ef1_partitions({0, 2}, set(), Instance(pair, pair))
+        combine_ef1_partitions({0, 2}, set(), inst)
+    # An array of any shape is read as its entries.
+    for reps in (np.array([[0]]), np.array(0)):
+        with pytest.raises(ValueError, match=r"^partition 0 is not EF1 for agent 1$"):
+            combine_ef1_partitions(reps, [], inst)
+    with pytest.raises(ValueError, match=r"^5 is not a canonical partition representative for m=2$"):
+        combine_ef1_partitions(np.array([[5]], dtype=object), [], inst)
+    assert combine_ef1_partitions(np.array([[1]]), np.array(1), inst) == combine_ef1_partitions([1], [1], inst)
     rng = np.random.default_rng(5)
     pool = [-(2**70), -3, -1, 2**40, 2**64, 2**70]
     for seed in range(40):
@@ -505,15 +528,14 @@ def test_cut_and_choose_distinct_proposals():
     assert second == (0b011, 0b100)
 
 
-@given(random_instances)
-@settings(max_examples=40, deadline=None)
-def test_cut_and_choose_property(inst):
-    first, second = cut_and_choose_efx(inst)
-    assert first != second
-    assert is_efx_allocation(inst, first[0])
-    assert is_efx_allocation(inst, second[0])
-    assert first[1] == complement(first[0], inst.m)
-    assert second[1] == complement(second[0], inst.m)
+def test_cut_and_choose_property():
+    for inst in _bound_instances():
+        first, second = cut_and_choose_efx(inst)
+        assert first != second
+        assert is_efx_allocation(inst, first[0])
+        assert is_efx_allocation(inst, second[0])
+        assert first[1] == complement(first[0], inst.m)
+        assert second[1] == complement(second[0], inst.m)
 
 
 # ---------------------------------------------------------------------------

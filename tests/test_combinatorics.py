@@ -7,8 +7,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from envy_census import (
     MAX_ITEMS,
@@ -540,16 +538,22 @@ def test_cascade_type_validation():
         Cascade(((2, 3),))
 
 
-@given(st.integers(1, 10_000), st.integers(1, 8))
-@settings(max_examples=150, deadline=None)
-def test_cascade_roundtrip(n, k):
-    cascade = cascade_decompose(n, k)
-    assert cascade.value == n
-    coeffs = [a for a, _ in cascade.terms]
-    levels = [t for _, t in cascade.terms]
-    assert coeffs == sorted(coeffs, reverse=True)
-    assert levels == list(range(k, k - len(levels), -1))
-    assert all(a >= t >= 1 for a, t in cascade.terms)
+def test_cascade_roundtrip():
+    """Every n in 1..2000 at every level k in 1..8, then binomials, their
+    neighbours and powers of two up to n = 10000."""
+    large = {10_000}
+    for a, t in ((14, 5), (17, 4), (15, 6), (22, 4), (141, 2)):
+        large.update(math.comb(a, t) + d for d in (-1, 0, 1))
+    large.update(2**e + d for e in range(11, 14) for d in (-1, 0))
+    for k in range(1, 9):
+        for n in (*range(1, 2001), *sorted(large)):
+            cascade = cascade_decompose(n, k)
+            assert cascade.value == n
+            coeffs = [a for a, _ in cascade.terms]
+            levels = [t for _, t in cascade.terms]
+            assert coeffs == sorted(coeffs, reverse=True)
+            assert levels == list(range(k, k - len(levels), -1))
+            assert all(a >= t >= 1 for a, t in cascade.terms)
 
 
 def test_cascade_uniqueness_small():
