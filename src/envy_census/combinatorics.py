@@ -15,7 +15,8 @@ one item at a time. A Hamming ball is an initial segment of the
 simplicial order, cut from one additive key without a sort, XOR-ed with its
 center; sets are built only at the public boundary. Binomial, cascade and
 shadow arithmetic is exact Python integers; cascade and shadow results are
-memoized (pure functions, safe for concurrent readers).
+memoized in LRU caches of the last 4096 distinct calls each (pure
+functions, safe for concurrent readers), so a long session stays bounded.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import model
+
+# Entries kept by each of the cascade_decompose and shadow caches.
+_CACHE_SIZE = 4096
 
 
 def binom(n: int, k: int) -> int:
@@ -307,7 +311,7 @@ def _largest_binom_at_most(limit: int, k: int) -> tuple[int, int]:
     return lo, binom(lo, k)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cascade_decompose(n: int, k: int) -> Cascade:
     """The unique cascade decomposition of n starting at level k, built
     greedily from the largest feasible top coefficient.
@@ -328,7 +332,7 @@ def cascade_decompose(n: int, k: int) -> Cascade:
     return Cascade(tuple(terms))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def shadow(n: int, k: int) -> int:
     """Lower-shadow size bound one level below k: each cascade term C(a, t)
     of n at level k drops to C(a, t-1); zero input gives zero.

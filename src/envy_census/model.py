@@ -580,10 +580,62 @@ def make_additive(item_values: Sequence) -> Valuation:
     return v
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n values of a SeedSequence hash constant, which starts at
+    `init` and is multiplied by `mult` mod 2^32 at each use, as a uint32
+    column."""
+    values = [init]
+    for _ in range(n - 1):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# One SeedSequence hash per use of its constant: 4 + 12 to mix the entropy
+# into the pool, 8 to draw PCG64's four 64-bit seed words from it.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 12 + 1)
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8 + 1)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the words v, using the constants h[:-1]
+    for the XOR and h[1:] for the product, one per row of v."""
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ (v >> 16)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.PCG64(seed & (2^64 - 1)) for each seed.
+
+    numpy's SeedSequence on uint32 arrays, every seed at once: the entropy
+    is the seed's two 32-bit words, zero-padded to the pool of four, which
+    equals numpy's one-word case. Only the arrays wrap mod 2^32; PCG64's
+    own seeding step then runs per row in exact Python integers."""
+    words = [int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds]
+    entropy = np.zeros((4, len(words)), dtype=np.uint32)
+    entropy[0] = [w & 0xFFFFFFFF for w in words]
+    entropy[1] = [w >> 32 for w in words]
+    pool = _hashmix(entropy, _MIX_HASH[:5])
+    for src in range(4):
+        # src mixes into every other word in turn, one hash constant each.
+        dst = [d for d in range(4) if d != src]
+        y = _hashmix(pool[src], _MIX_HASH[4 + 3 * src : 8 + 3 * src])
+        r = 0xCA01F9DD * pool[dst] - 0x4973F715 * y
+        pool[dst] = r ^ (r >> 16)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH).astype(np.uint64)
+    states = []
+    for w0, w1, w2, w3 in (out[0::2] | out[1::2] << 32).T.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append((((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
 def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
     """Random monotone tables over RANDOM_DENOM, one row per seed: row k is
-    the table of random_monotone(m, seeds[k]). Each row draws from its own
-    generator; one closure sweep then serves the whole batch."""
+    the table of random_monotone(m, seeds[k]). The batch's PCG64 states are
+    seeded at once, every row draws from one generator set to its state,
+    and one closure sweep then serves the whole batch."""
     m = _check_item_count(m)
     # The draw fixes every random table: the 32-bit halves of the seed's
     # raw PCG64 stream, low half first on any byte order, shifted right by
@@ -591,8 +643,15 @@ def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
     # but NEP 19 keeps the raw stream fixed across numpy releases, and
     # `integers` not. Values below RANDOM_DENOM fit the int32 rows.
     tables = np.empty((len(seeds), 1 << m), dtype=_table_dtype(RANDOM_DENOM - 1))
-    for row, seed in zip(tables, seeds):
-        raw = np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF).random_raw(1 << (m - 1))
+    bit_generator = np.random.PCG64(0)
+    for row, (state, inc) in zip(tables, _pcg64_states(seeds)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        raw = bit_generator.random_raw(1 << (m - 1))
         np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 2, out=row.view(np.uint32))
     for _, lo, hi in _covering_halves(updated=[tables]):
         np.maximum(hi, lo, out=hi)

@@ -556,6 +556,20 @@ def test_cascade_roundtrip():
             assert all(a >= t >= 1 for a, t in cascade.terms)
 
 
+def test_cascade_and_shadow_caches_are_bounded():
+    """Past its bound, each cache holds exactly the bound, and evicted
+    entries are recomputed to the same results."""
+    bound = combinatorics._CACHE_SIZE
+    keys = [(n, k) for k in (3, 5) for n in range(1, bound + 200)]
+    cascade_decompose.cache_clear()
+    shadow.cache_clear()
+    first = [(cascade_decompose(n, k), shadow(n, k)) for n, k in keys]
+    for cached in (cascade_decompose, shadow):
+        assert cached.cache_info().maxsize == cached.cache_info().currsize == bound
+    assert [(cascade_decompose(n, k), shadow(n, k)) for n, k in keys] == first
+    assert cascade_decompose.cache_info().currsize == shadow.cache_info().currsize == bound
+
+
 def test_cascade_uniqueness_small():
     for n in range(1, 13):
         for k in range(1, 13):

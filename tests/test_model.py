@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import pickle
@@ -719,6 +720,38 @@ def test_random_tables_draw_the_integers_stream(monkeypatch, m):
         assert np.array_equal(row, draw)
 
 
+def _numpy_pcg64_state(seed):
+    state = np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF).state["state"]
+    return state["state"], state["inc"]
+
+
+def test_batched_pcg64_seeding_equals_numpy():
+    """model._pcg64_states gives np.random.PCG64(seed)'s state and inc for
+    one-word and two-word seeds, masked negatives and derive_seed outputs,
+    alone and in batches that mix them."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, model.MIN_SEED]
+    derived = [derive_seed(9, m, trial) for m in range(1, 15) for trial in range(80)]
+    mixed = [5, 2**40 + 3, 2**32 - 1, 2**64 - 2, 0, 2**33 + 1, 1 << 31]
+    for batch in (edges, derived, mixed):
+        assert model._pcg64_states(batch) == [_numpy_pcg64_state(s) for s in batch]
+    assert [model._pcg64_states([s])[0] for s in edges] == model._pcg64_states(edges)
+    assert model._pcg64_states([]) == []
+
+
+def test_random_tables_build_one_generator_per_batch(monkeypatch):
+    """A batch of one and a batch of 160 each construct one PCG64, and the
+    rows still hold their seeds' tables."""
+    batches = ([derive_seed(3, 1)], [derive_seed(3, k) for k in range(160)])
+    expected = [np.stack([_closure_table(6, s) for s in seeds]) for seeds in batches]
+    built = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: built.append(args) or pcg64(*args))
+    for seeds, tables in zip(batches, expected):
+        built.clear()
+        assert np.array_equal(model._random_tables(6, seeds), tables)
+        assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "rows, m", [(1, m) for m in range(1, 19)] + [(rows, m) for rows in (6, 12) for m in range(1, 17)]
 )
@@ -915,6 +948,21 @@ def test_derive_seed_takes_parts_in_the_seed_range():
             derive_seed(bad)
         with pytest.raises(ValueError, match="seed"):
             random_instance(2, bad)
+
+
+def test_derive_seed_hashes_the_joined_part_encodings():
+    """derive_seed is the 8-byte blake2b of its parts' 16-byte signed
+    little-endian encodings, joined in order, read little-endian."""
+
+    def reference(*parts):
+        data = b"".join(p.to_bytes(16, "little", signed=True) for p in parts)
+        return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+    edges = (model.MIN_SEED, model.MAX_SEED, -1, 0, 2**64)
+    for part in edges:
+        assert derive_seed(part) == reference(part)
+    for parts in itertools.product(edges, (1, 14, 24), (0, 79, 299)):
+        assert derive_seed(*parts) == reference(*parts)
 
 
 def test_random_instance_agents_differ():

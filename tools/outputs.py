@@ -41,6 +41,10 @@ COMMANDS = [
     "verify --m-range 2..14 --trials 80 --seed 7 --jobs 1",
     "verify --m-range 2..14 --trials 80 --seed 7 --jobs 2",
     "verify --m-range 15..18 --trials 3",
+    # Seeding edge cases: a negative seed, one past 32 bits, and MIN_SEED.
+    "gen random-monotone --m 1 --seed -1",
+    "gen random-monotone --m 4 --seed 4294967296",
+    "verify --m-range 1..6 --trials 300 --seed -170141183460469231731687303715884105728",
     "harper --m 12 --trials 20",
     "shadow --n 123456789 --k 7",
     "cascade --n 123456789 --k 7",
