@@ -104,10 +104,11 @@ def _marks_above(words: np.ndarray, closed: bool = False) -> np.ndarray:
     m - 1 only move marks into the padding bits, which never move back,
     so a caller that ANDs the marks with words clear there reads none."""
     above = np.empty_like(words)
-    for _, marked_lo, _, above_lo, above_hi in model._covering_halves(read=[words], zeroed=[above]):
+    for _, marked, pair in model._covering_halves(read=[words], zeroed=[above]):
+        above_hi = pair[..., 1, :]
         if closed:
-            above_hi |= above_lo
-        above_hi |= marked_lo
+            above_hi |= pair[..., 0, :]
+        above_hi |= marked[..., 0, :]
     for i in range(6):
         marked = words | above if closed else words
         above |= marked << np.uint64(1 << i) & _WORD_ITEM_BITS[i]
@@ -158,16 +159,19 @@ def _vector_distance(a: np.ndarray, b: np.ndarray):
     """system_distance of two equal-length bundle vectors. Hamming distance
     is a sum over items, so after item i each entry of `dist` is its exact
     distance to `a` over items 0..i (int8, with a sentinel above MAX_ITEMS).
-    Systems that share a bundle are at distance 0 without the walk."""
+    Each item's step is one np.minimum of the pair view and its swapped
+    halves plus one, lo = min(lo, hi + 1) and hi = min(hi, lo + 1) from the
+    old entries: the same as relaxing lo first and hi from the new lo,
+    since min(hi, min(lo, hi + 1) + 1) = min(hi, lo + 1). Systems that
+    share a bundle are at distance 0 without the walk."""
     if not (a.any() and b.any()):
         return math.inf
     if (a & b).any():
         return 0
     far = np.int8(model.MAX_ITEMS + 1)
     dist = np.where(a, np.int8(0), far)
-    for _, lo, hi in model._covering_halves(updated=[dist]):
-        np.minimum(lo, hi + 1, out=lo)
-        np.minimum(hi, lo + 1, out=hi)
+    for _, p in model._covering_halves(updated=[dist]):
+        np.minimum(p, p[..., ::-1, :] + 1, out=p)
     return int(np.min(dist, where=b, initial=far))
 
 

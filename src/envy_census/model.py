@@ -179,15 +179,11 @@ _TILE_ENTRIES = 1 << 16
 _WALK_BUFSIZE = 1024
 
 
-def _halves(arrays, lead: tuple, bit: int, run: int) -> tuple:
-    """(bit, lo_1, hi_1, lo_2, hi_2, ...): the two halves of the last axis
-    of each array's reshape(*lead, -1, 2 * run) view, runs of `run`
-    entries without and with item log2(bit) (see `_covering_halves`)."""
-    halves = [bit]
-    for a in arrays:
-        view = a.reshape(*lead, -1, 2 * run)
-        halves += (view[..., :run], view[..., run:])
-    return tuple(halves)
+def _pairs(arrays, lead: tuple, bit: int, run: int) -> tuple:
+    """(bit, pair_1, pair_2, ...): each array's reshape(*lead, -1, 2, run)
+    view, whose [..., 0, :] and [..., 1, :] hold runs of `run` entries
+    without and with item log2(bit) (see `_covering_halves`)."""
+    return (bit, *(a.reshape(*lead, -1, 2, run) for a in arrays))
 
 
 def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
@@ -202,27 +198,29 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     `zeroed` arrays are outputs, which read 0 before any item and are then
     written. Updated and zeroed arrays must be C-contiguous.
 
-    For item i this yields (bit, lo_1, hi_1, lo_2, hi_2, ...) with
-    bit = 2^i, over the read, then the updated, then the zeroed arrays:
-    hi_k holds the bundles of lo_k plus item i, entry for entry, so over
-    the m items every covering pair of every lattice appears exactly once.
-    Consumers may write the halves of updated and zeroed arrays, and must
-    not rely on an entry's position or on the order of the items.
+    For item i this yields (bit, pair_1, pair_2, ...) with bit = 2^i, one
+    view per array, over the read, then the updated, then the zeroed
+    arrays. Axis -2 of a pair has length 2: pair[..., 1, :] holds the
+    bundles of pair[..., 0, :] plus item i, entry for entry, so over the m
+    items every covering pair of every lattice appears exactly once. A
+    consumer indexes the halves it uses, or updates both in one ufunc call
+    through the whole pair (pair[..., ::-1, :] swaps them). Consumers may
+    write the pairs of updated and zeroed arrays, and must not rely on an
+    entry's position or on the order of the items.
 
-    The high items, from ceil(m/2) up, yield the two halves of the last
-    axis of each array's reshape(*lead, -1, 2 * bit) view: rows of at least
-    2^ceil(m/2) entries, so numpy's inner loops are long. The low items
-    would run short loops there, so the walk first cuts the whole batch
-    into rows of 2^ceil(m/2) bundles and takes them R at a time, R the
-    largest power of two that divides the row count (odd batches included)
-    and keeps R * 2^ceil(m/2) within _TILE_ENTRIES. Each such tile is
-    transposed into a buffer, where every low item's half is made of runs
-    of bit * R contiguous entries, and the low items of the tile are
-    yielded in turn, as views of the buffers. A read array's tile is
-    transposed in; an updated array's is transposed in and written back; a
-    zeroed output's is filled with 0 and written back, so the output is
-    never read before the walk writes it. The tile buffers are released
-    before the high items.
+    The high items, from ceil(m/2) up, yield each array's
+    reshape(*lead, -1, 2, bit) view: runs of at least 2^ceil(m/2) entries,
+    so numpy's inner loops are long. The low items would run short loops
+    there, so the walk first cuts the whole batch into rows of 2^ceil(m/2)
+    bundles and takes them R at a time, R the largest power of two that
+    divides the row count (odd batches included) and keeps
+    R * 2^ceil(m/2) within _TILE_ENTRIES. Each such tile is transposed into
+    a buffer, where every low item's half is made of runs of bit * R
+    contiguous entries, and the low items of the tile are yielded in turn,
+    as pair views of the buffers. A read array's tile is transposed in; an
+    updated array's is transposed in and written back; a zeroed output's is
+    filled with 0 and written back, so the output is never read before the
+    walk writes it. The tile buffers are released before the high items.
 
     From its first item on, the walk sets numpy's ufunc buffer to
     _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
@@ -241,7 +239,7 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     tile = min(_TILE_ENTRIES >> low, rows & -rows)
     grids = [a.reshape(rows, 1 << low) for a in arrays]
     bufs = [np.empty((1 << low, tile), dtype=a.dtype) for a in arrays]
-    tile_halves = [_halves(bufs, (), 1 << i, tile << i) for i in range(low)]
+    tile_pairs = [_pairs(bufs, (), 1 << i, tile << i) for i in range(low)]
     loaded = len(read) + len(updated)
     saved = np.setbufsize(_WALK_BUFSIZE)
     try:
@@ -250,12 +248,12 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
                 buf[...] = grid[r : r + tile].T
             for buf in bufs[loaded:]:
                 buf[...] = 0
-            yield from tile_halves
+            yield from tile_pairs
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
                 grid[r : r + tile] = buf.T
-        del grids, bufs, tile_halves, grid, buf
+        del grids, bufs, tile_pairs, grid, buf
         for i in range(low, m):
-            yield _halves(arrays, lead, 1 << i, 1 << i)
+            yield _pairs(arrays, lead, 1 << i, 1 << i)
     finally:
         if saved != _WALK_BUFSIZE:
             np.setbufsize(saved)
@@ -312,7 +310,7 @@ def check_monotone(table) -> MonotoneViolation | None:
         raise ValueError(f"bundle {nan[0]} has value {arr[nan[0]]}, not a number")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
-    bits = [bit for bit, lo, hi in _covering_halves(read=[arr]) if np.any(hi < lo)]
+    bits = [bit for bit, p in _covering_halves(read=[arr]) if np.any(p[..., 1, :] < p[..., 0, :])]
     if not bits:
         return None
     bit = min(bits)
@@ -454,8 +452,9 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = size.bit_length() - 1
     rt = tables[..., ::-1].copy()
     counts = np.empty(tables.shape, dtype=np.uint8)
-    for _, t_lo, _, _, rt_hi, n_lo, _ in _covering_halves(read=[tables, rt], zeroed=[counts]):
-        np.add(n_lo, np.less(t_lo, rt_hi).view(np.uint8), out=n_lo)
+    for _, t, r, n in _covering_halves(read=[tables, rt], zeroed=[counts]):
+        n_lo = n[..., 0, :]
+        np.add(n_lo, np.less(t[..., 0, :], r[..., 1, :]).view(np.uint8), out=n_lo)
     ef1 = np.greater_equal(tables, rt)
     free = rt.reshape(-1).view(np.uint8)
     outside = free[:size]
@@ -635,7 +634,8 @@ def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
     """Random monotone tables over RANDOM_DENOM, one row per seed: row k is
     the table of random_monotone(m, seeds[k]). The batch's PCG64 states are
     seeded at once, every row draws from one generator set to its state,
-    and one closure sweep then serves the whole batch."""
+    and one closure sweep then serves the whole batch: per item, each
+    pair view's upper half takes the maximum of itself and its lower half."""
     m = _check_item_count(m)
     # The draw fixes every random table: the 32-bit halves of the seed's
     # raw PCG64 stream, low half first on any byte order, shifted right by
@@ -653,8 +653,9 @@ def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
         }
         raw = bit_generator.random_raw(1 << (m - 1))
         np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 2, out=row.view(np.uint32))
-    for _, lo, hi in _covering_halves(updated=[tables]):
-        np.maximum(hi, lo, out=hi)
+    for _, t in _covering_halves(updated=[tables]):
+        hi = t[..., 1, :]
+        np.maximum(hi, t[..., 0, :], out=hi)
     tables[:, 0] = 0
     return tables
 

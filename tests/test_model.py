@@ -280,9 +280,9 @@ def _walked_pairs(arrays):
     yields for `arrays` read, whose values are their bundles, as one sorted
     int64 array of rows (bundle, superset, bit)."""
     found = np.concatenate([
-        np.stack([lo.ravel(), hi.ravel(), np.full(lo.size, bit)], axis=1).astype(np.int64)
-        for bit, lo, hi in model._covering_halves(read=arrays)
-    ])
+        np.stack([p[..., 0, :].ravel(), p[..., 1, :].ravel(), np.full(p.size // 2, bit)], axis=1)
+        for bit, p in model._covering_halves(read=arrays)
+    ]).astype(np.int64)
     return found[np.lexsort(found.T[::-1])]
 
 
@@ -338,8 +338,10 @@ def test_covering_halves_walk_low_items_on_tiles(rows, m):
     low = (m + 1) // 2
     row_count = rows << (m - low)
     seen = []
-    for bit, lo, hi in model._covering_halves(read=[np.zeros((rows, 1 << m), dtype=np.int32)]):
+    for bit, p in model._covering_halves(read=[np.zeros((rows, 1 << m), dtype=np.int32)]):
         seen.append(bit)
+        assert p.shape[-2] == 2
+        lo, hi = p[..., 0, :], p[..., 1, :]
         if bit < 1 << low:
             tile = lo.shape[-1] // bit
             assert lo.ndim == 2 and lo.strides[-1] == lo.itemsize
@@ -357,9 +359,9 @@ def test_covering_halves_walk_low_items_on_tiles(rows, m):
 @pytest.mark.parametrize("m", [3, 8, 12, 17])
 def test_covering_halves_walk_several_arrays_in_step(m):
     below, above = np.zeros((2, 1 << m), dtype=np.int8)
-    for _, lo, _, _, hi in model._covering_halves(updated=[below, above]):
-        lo += 1
-        hi += 1
+    for _, b, a in model._covering_halves(updated=[below, above]):
+        b[..., 0, :] += 1
+        a[..., 1, :] += 1
     weight = np.array([b.bit_count() for b in range(1 << m)])
     assert np.array_equal(above, weight) and np.array_equal(below, m - weight)
 
@@ -376,9 +378,9 @@ def test_covering_halves_array_roles(rows, m):
     start = counts.copy()
     highest = np.full_like(table, 12345)
     walk = model._covering_halves(read=[table], updated=[counts], zeroed=[highest])
-    for _, t_lo, _, c_lo, c_hi, _, high_hi in walk:
-        c_hi += c_lo
-        np.maximum(high_hi, t_lo, out=high_hi)
+    for _, t, c, high in walk:
+        c[..., 1, :] += c[..., 0, :]
+        np.maximum(high[..., 1, :], t[..., 0, :], out=high[..., 1, :])
     expected_counts = start.copy()
     expected_high = np.zeros_like(table)
     for lo, hi in item_pairs(m):
@@ -386,6 +388,32 @@ def test_covering_halves_array_roles(rows, m):
         expected_high[:, hi] = np.maximum(expected_high[:, hi], table[:, lo])
     assert np.array_equal(counts, expected_counts)
     assert np.array_equal(highest, expected_high)
+
+
+@pytest.mark.parametrize("rows, m", [(1, 5), (1, 12), (3, 12), (1, 17), (2, 18)])
+def test_covering_halves_two_sided_writes_reach_the_callers_arrays(rows, m):
+    """One np.minimum over a whole pair updates both halves at once, each
+    from the other's old entries (the distance walk's step): on one tile
+    and on several, the writes land in the caller's updated array, and a
+    second two-sided write, from that array's swapped pair, in the zeroed
+    output, as the same steps on the natural layout give."""
+    rng = np.random.default_rng(m)
+    start = rng.integers(0, 2 * m, size=(rows, 1 << m)).astype(np.int32)
+    dist = start.copy()
+    farthest = np.full_like(start, 12345)
+    for _, d, f in model._covering_halves(updated=[dist], zeroed=[farthest]):
+        np.minimum(d, d[..., ::-1, :] + 1, out=d)
+        np.maximum(f, d[..., ::-1, :], out=f)
+    expected_dist = start.copy()
+    expected_far = np.zeros_like(start)
+    for lo, hi in item_pairs(m):
+        d_lo, d_hi = expected_dist[:, lo], expected_dist[:, hi]
+        expected_dist[:, lo] = np.minimum(d_lo, d_hi + 1)
+        expected_dist[:, hi] = np.minimum(d_hi, d_lo + 1)
+        expected_far[:, lo] = np.maximum(expected_far[:, lo], expected_dist[:, hi])
+        expected_far[:, hi] = np.maximum(expected_far[:, hi], expected_dist[:, lo])
+    assert np.array_equal(dist, expected_dist)
+    assert np.array_equal(farthest, expected_far)
 
 
 @pytest.fixture
@@ -424,7 +452,7 @@ def test_covering_walk_restores_the_buffer_when_closed_or_its_consumer_raises(ca
     walk.close()
     assert np.getbufsize() == caller_bufsize
     with pytest.raises(RuntimeError, match="consumer failed"):
-        for bit, lo, hi in model._covering_halves(read=[np.zeros(1 << 17)]):
+        for bit, _ in model._covering_halves(read=[np.zeros(1 << 17)]):
             if bit == 4:
                 raise RuntimeError("consumer failed")
     assert np.getbufsize() == caller_bufsize

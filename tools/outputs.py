@@ -46,6 +46,9 @@ COMMANDS = [
     "gen random-monotone --m 4 --seed 4294967296",
     "verify --m-range 1..6 --trials 300 --seed -170141183460469231731687303715884105728",
     "harper --m 12 --trials 20",
+    # Distance walks with tiles: m = 20 cuts each lattice into 16 of them.
+    "harper --m 20 --trials 4",
+    "harper --m 11 --trials 40",
     "shadow --n 123456789 --k 7",
     "cascade --n 123456789 --k 7",
 ]
