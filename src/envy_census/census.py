@@ -244,10 +244,6 @@ def combine_ef1_partitions(
     return set(zip(first.tolist(), (model.full_bundle(inst.m) ^ first).tolist()))
 
 
-# Bundles in efx_partition's first block.
-_EFX_SCAN_BLOCK = 64
-
-
 def efx_partition(v: Valuation) -> tuple[int, int]:
     """An unordered partition whose two sides are both EFX for `v`, found by
     scanning bundles in increasing numeric order and returning the first hit
@@ -266,7 +262,7 @@ def efx_partition(v: Valuation) -> tuple[int, int]:
     """
     efx = v.efx_mask
     half, mirrored = _canonical_half(efx), efx[::-1]
-    start, stop = 0, min(_EFX_SCAN_BLOCK, half.size)
+    start, stop = 0, 1
     while start < stop:
         both = half[start:stop] & mirrored[start:stop]
         if both.any():

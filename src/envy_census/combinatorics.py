@@ -98,17 +98,20 @@ def _marks_above(words: np.ndarray, closed: bool = False) -> np.ndarray:
     marked in `words`, or with `closed`, of every bundle strictly above
     one, where each item's step also moves the marks of the steps before
     it. Items 6 and up are the items of the word lattice, walked by
-    `model._covering_halves` with the marks as its zeroed output; items
+    `model._covering_walk` with the marks as its zeroed output; items
     0..5 move bits within a word, by a shift and a mask. All six run
     whatever m is: in a lattice of fewer than 64 bundles the items past
     m - 1 only move marks into the padding bits, which never move back,
     so a caller that ANDs the marks with words clear there reads none."""
     above = np.empty_like(words)
-    for _, marked, pair in model._covering_halves(read=[words], zeroed=[above]):
+
+    def mark(_, marked, pair):
         above_hi = pair[..., 1, :]
         if closed:
             above_hi |= pair[..., 0, :]
         above_hi |= marked[..., 0, :]
+
+    model._covering_walk(mark, read=[words], zeroed=[above])
     for i in range(6):
         marked = words | above if closed else words
         above |= marked << np.uint64(1 << i) & _WORD_ITEM_BITS[i]
@@ -170,8 +173,7 @@ def _vector_distance(a: np.ndarray, b: np.ndarray):
         return 0
     far = np.int8(model.MAX_ITEMS + 1)
     dist = np.where(a, np.int8(0), far)
-    for _, p in model._covering_halves(updated=[dist]):
-        np.minimum(p, p[..., ::-1, :] + 1, out=p)
+    model._covering_walk(lambda _, p: np.minimum(p, p[..., ::-1, :] + 1, out=p), updated=[dist])
     return int(np.min(dist, where=b, initial=far))
 
 

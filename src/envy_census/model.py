@@ -111,7 +111,7 @@ def full_bundle(m: int) -> int:
     >>> full_bundle(3)
     7
     """
-    return (1 << m) - 1
+    return (1 << _check_item_count(m)) - 1
 
 
 def complement(bundle: int, m: int) -> int:
@@ -122,8 +122,7 @@ def complement(bundle: int, m: int) -> int:
     >>> complement(complement(6, 4), 4)
     6
     """
-    m = _check_item_count(m)
-    return _bundle(bundle, m) ^ full_bundle(m)
+    return _bundle(bundle, m := _check_item_count(m)) ^ full_bundle(m)
 
 
 def bundle_size(bundle: int) -> int:
@@ -166,11 +165,11 @@ def _additive_table(weights: Sequence[int], base: int, dtype) -> np.ndarray:
 
 
 # The covering walk takes the low ceil(m/2) items on transposed tiles of at
-# most this many entries (see _covering_halves): 256 KiB of int32, so the
+# most this many entries (see _covering_walk): 256 KiB of int32, so the
 # tiles of a sweep stay in a core's L2 cache.
 _TILE_ENTRIES = 1 << 16
 
-# numpy's ufunc buffer, in elements, while a walk runs (see _covering_halves).
+# numpy's ufunc buffer, in elements, while a walk runs (see _covering_walk).
 # numpy copies each operand whose contiguous runs are shorter than half its
 # buffer through that buffer: below 4096 elements at the default 8192, which
 # takes in most low items' runs in a tile and the first high item's. At 1024,
@@ -179,14 +178,7 @@ _TILE_ENTRIES = 1 << 16
 _WALK_BUFSIZE = 1024
 
 
-def _pairs(arrays, lead: tuple, bit: int, run: int) -> tuple:
-    """(bit, pair_1, pair_2, ...): each array's reshape(*lead, -1, 2, run)
-    view, whose [..., 0, :] and [..., 1, :] hold runs of `run` entries
-    without and with item log2(bit) (see `_covering_halves`)."""
-    return (bit, *(a.reshape(*lead, -1, 2, run) for a in arrays))
-
-
-def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
+def _covering_walk(visit, read=(), updated=(), zeroed=()) -> None:
     """Walk every covering pair of the bundle lattice, one item at a time:
     the closure sweeps, whose updates compound over items (additive tables
     are built by doubling instead, see `_additive_table`).
@@ -198,17 +190,17 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     `zeroed` arrays are outputs, which read 0 before any item and are then
     written. Updated and zeroed arrays must be C-contiguous.
 
-    For item i this yields (bit, pair_1, pair_2, ...) with bit = 2^i, one
-    view per array, over the read, then the updated, then the zeroed
-    arrays. Axis -2 of a pair has length 2: pair[..., 1, :] holds the
-    bundles of pair[..., 0, :] plus item i, entry for entry, so over the m
-    items every covering pair of every lattice appears exactly once. A
-    consumer indexes the halves it uses, or updates both in one ufunc call
-    through the whole pair (pair[..., ::-1, :] swaps them). Consumers may
-    write the pairs of updated and zeroed arrays, and must not rely on an
-    entry's position or on the order of the items.
+    For item i the walk calls visit(bit, pair_1, pair_2, ...) with bit =
+    2^i, one view per array, over the read, then the updated, then the
+    zeroed arrays. Axis -2 of a pair has length 2: pair[..., 1, :] holds
+    the bundles of pair[..., 0, :] plus item i, entry for entry, so over
+    the m items every covering pair of every lattice is visited exactly
+    once. A visitor indexes the halves it uses, or updates both in one
+    ufunc call through the whole pair (pair[..., ::-1, :] swaps them).
+    Visitors may write the pairs of updated and zeroed arrays, and must
+    not rely on an entry's position or on the order of the items.
 
-    The high items, from ceil(m/2) up, yield each array's
+    The high items, from ceil(m/2) up, pass each array's
     reshape(*lead, -1, 2, bit) view: runs of at least 2^ceil(m/2) entries,
     so numpy's inner loops are long. The low items would run short loops
     there, so the walk first cuts the whole batch into rows of 2^ceil(m/2)
@@ -216,30 +208,25 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
     divides the row count (odd batches included) and keeps
     R * 2^ceil(m/2) within _TILE_ENTRIES. Each such tile is transposed into
     a buffer, where every low item's half is made of runs of bit * R
-    contiguous entries, and the low items of the tile are yielded in turn,
+    contiguous entries, and the low items of the tile are visited in turn,
     as pair views of the buffers. A read array's tile is transposed in; an
     updated array's is transposed in and written back; a zeroed output's is
     filled with 0 and written back, so the output is never read before the
     walk writes it. The tile buffers are released before the high items.
 
-    From its first item on, the walk sets numpy's ufunc buffer to
-    _WALK_BUFSIZE elements, so its consumer's ufuncs run with it too, and
-    restores the caller's size when it is exhausted or closed, also when
-    the consumer stops early or raises. A walk started while another is
-    open leaves the restore to that one, so walks that end in any order
-    leave the caller's size. Consumers iterate the walk in their `for`
-    statement: a walk bound to a name would stay open, and keep the
-    buffer, for as long as a traceback holds the consumer's frame.
+    The walk sets numpy's ufunc buffer to _WALK_BUFSIZE elements before its
+    first item, so its visitor's ufuncs run with it too, and restores the
+    caller's size when it returns or its visitor raises. A visitor may run
+    a walk of its own, which restores the outer walk's size.
     """
     arrays = [*read, *updated, *zeroed]
-    lead, size = arrays[0].shape[:-1], arrays[0].shape[-1]
-    m = size.bit_length() - 1
+    lead, m = arrays[0].shape[:-1], arrays[0].shape[-1].bit_length() - 1
     low = (m + 1) // 2
     rows = arrays[0].size >> low
     tile = min(_TILE_ENTRIES >> low, rows & -rows)
     grids = [a.reshape(rows, 1 << low) for a in arrays]
     bufs = [np.empty((1 << low, tile), dtype=a.dtype) for a in arrays]
-    tile_pairs = [_pairs(bufs, (), 1 << i, tile << i) for i in range(low)]
+    tile_pairs = [(1 << i, *(b.reshape(-1, 2, tile << i) for b in bufs)) for i in range(low)]
     loaded = len(read) + len(updated)
     saved = np.setbufsize(_WALK_BUFSIZE)
     try:
@@ -248,15 +235,17 @@ def _covering_halves(read=(), updated=(), zeroed=()) -> Iterator[tuple]:
                 buf[...] = grid[r : r + tile].T
             for buf in bufs[loaded:]:
                 buf[...] = 0
-            yield from tile_pairs
+            # By index: a loop variable would keep the last tile's views, and
+            # so the tile buffers, alive through the high items.
+            for i in range(low):
+                visit(*tile_pairs[i])
             for grid, buf in zip(grids[len(read) :], bufs[len(read) :]):
                 grid[r : r + tile] = buf.T
         del grids, bufs, tile_pairs, grid, buf
         for i in range(low, m):
-            yield _pairs(arrays, lead, 1 << i, 1 << i)
+            visit(1 << i, *(a.reshape(*lead, -1, 2, 1 << i) for a in arrays))
     finally:
-        if saved != _WALK_BUFSIZE:
-            np.setbufsize(saved)
+        np.setbufsize(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +299,13 @@ def check_monotone(table) -> MonotoneViolation | None:
         raise ValueError(f"bundle {nan[0]} has value {arr[nan[0]]}, not a number")
     if arr[0] != 0:
         return MonotoneViolation(0, 0, arr[0], arr[0])
-    bits = [bit for bit, p in _covering_halves(read=[arr]) if np.any(p[..., 1, :] < p[..., 0, :])]
+    bits = []
+
+    def note_decrease(bit, p):
+        if np.any(p[..., 1, :] < p[..., 0, :]):
+            bits.append(bit)
+
+    _covering_walk(note_decrease, read=[arr])
     if not bits:
         return None
     bit = min(bits)
@@ -452,9 +447,12 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = size.bit_length() - 1
     rt = tables[..., ::-1].copy()
     counts = np.empty(tables.shape, dtype=np.uint8)
-    for _, t, r, n in _covering_halves(read=[tables, rt], zeroed=[counts]):
+
+    def count_envied(_, t, r, n):
         n_lo = n[..., 0, :]
         np.add(n_lo, np.less(t[..., 0, :], r[..., 1, :]).view(np.uint8), out=n_lo)
+
+    _covering_walk(count_envied, read=[tables, rt], zeroed=[counts])
     ef1 = np.greater_equal(tables, rt)
     free = rt.reshape(-1).view(np.uint8)
     outside = free[:size]
@@ -653,9 +651,11 @@ def _random_tables(m: int, seeds: Sequence[int]) -> np.ndarray:
         }
         raw = bit_generator.random_raw(1 << (m - 1))
         np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 2, out=row.view(np.uint32))
-    for _, t in _covering_halves(updated=[tables]):
-        hi = t[..., 1, :]
-        np.maximum(hi, t[..., 0, :], out=hi)
+
+    def close_up(_, t):
+        np.maximum(t[..., 1, :], t[..., 0, :], out=t[..., 1, :])
+
+    _covering_walk(close_up, updated=[tables])
     tables[:, 0] = 0
     return tables
 

@@ -42,6 +42,31 @@ def item_pairs(m):
     return [(lo, lo | 1 << i) for i in range(m) for lo in [bundles[bundles >> i & 1 == 0]]]
 
 
+def covering_walk(visit, read=(), updated=(), zeroed=()):
+    """The covering walk on the natural layout: zeroed outputs set to 0, then
+    item i calls visit(2^i, ...) with each array's reshape(*lead, -1, 2, 2^i)
+    view, over the read, the updated and the zeroed arrays. No tiles, no
+    transposes, no ufunc buffer setting."""
+    for a in zeroed:
+        a[...] = 0
+    arrays = [*read, *updated, *zeroed]
+    lead, m = arrays[0].shape[:-1], arrays[0].shape[-1].bit_length() - 1
+    for i in range(m):
+        visit(1 << i, *(a.reshape(*lead, -1, 2, 1 << i) for a in arrays))
+
+
+def relabelled(vector, perm):
+    """A vector over all bundles with item i renamed to perm[i]: the entry of
+    bundle b moves to the bundle holding perm[i] for each item i of b."""
+    bundles = np.arange(vector.size)
+    moved = np.zeros_like(bundles)
+    for i, j in enumerate(perm):
+        moved |= (bundles >> i & 1) << j
+    out = np.empty_like(vector)
+    out[moved] = vector
+    return out
+
+
 def subset_max(tables):
     """Each entry raised to the largest entry of its subsets."""
     out = np.array(tables)

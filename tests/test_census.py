@@ -1,5 +1,4 @@
 import json
-import math
 import pickle
 import re
 import time
@@ -53,6 +52,7 @@ from oracles import (
     min_cross_distance,
     monotone_tables,
     pairings,
+    relabelled,
     removal_masks,
     s_max_by_levels,
     small_value_table,
@@ -78,43 +78,28 @@ def _bound_instances():
 # counting
 
 
-@pytest.mark.parametrize("m,expected", [(2, 2), (4, 6), (6, 20), (8, 70)])
-def test_count_ef1_tight_even(m, expected):
-    assert count_ef1_allocations(tight_ef1_instance(m)) == expected
-    assert expected == math.comb(m, m // 2)
-
-
-@pytest.mark.parametrize("m,expected", [(1, 2), (3, 4), (5, 12), (7, 40)])
-def test_count_ef1_tight_odd(m, expected):
-    assert count_ef1_allocations(tight_ef1_instance(m)) == expected
-    assert expected == 2 * math.comb(m - 1, (m - 1) // 2)
-
-
-@pytest.mark.parametrize("m", range(1, 11))
-def test_count_efx_tight(m):
-    assert count_efx_allocations(tight_efx_instance(m)) == 2
-
-
-@pytest.mark.parametrize("m", range(13, 23))
+@pytest.mark.parametrize("m", range(13, 25))
 def test_counts_above_m12_equal_the_count_by_types(m):
     """Above the reach of the bundle-by-bundle oracle, the census report of
     additive instances with item values 0..k (ties everywhere) equals the
     counts by item types (tests/oracles.py): both allocation counts, each
     agent's too-small count, and its good count, the 2^m bundles less the
-    too-small ones and their complements. At m = 16 also with every value
-    scaled past int32."""
+    too-small ones and their complements. Four instances up to m = 22, at
+    m = 16 also with every value scaled past int32; one at m = 23 and 24,
+    where a census takes most of a second, at m = 24 with agent 2's values
+    scaled past int32, so that one table is int32 and the other int64."""
     rng = np.random.default_rng(m)
-    for k in (1, 2):
-        for _ in range(2):
-            w1, w2 = (rng.integers(0, k + 1, size=m).tolist() for _ in range(2))
-            counts = count_by_types(w1, w2)
-            too_small = (too_small_by_types(w1), too_small_by_types(w2))
-            for scale in (1, 1 << 31) if m == 16 else (1,):
-                inst = Instance(make_additive([x * scale for x in w1]), make_additive([x * scale for x in w2]))
-                report = census_report(inst)
-                assert (report.ef1_count, report.efx_count) == counts
-                assert report.too_small_count == too_small
-                assert report.good_count == tuple((1 << m) - 2 * s for s in too_small)
+    scales = {16: [(1, 1), (1 << 31, 1 << 31)], 24: [(1, 1 << 31)]}.get(m, [(1, 1)])
+    for k in (1, 1, 2, 2) if m <= 22 else (2,):
+        w1, w2 = (rng.integers(0, k + 1, size=m).tolist() for _ in range(2))
+        counts = count_by_types(w1, w2)
+        too_small = (too_small_by_types(w1), too_small_by_types(w2))
+        for s1, s2 in scales:
+            inst = Instance(make_additive([x * s1 for x in w1]), make_additive([x * s2 for x in w2]))
+            report = census_report(inst)
+            assert (report.ef1_count, report.efx_count) == counts
+            assert report.too_small_count == too_small
+            assert report.good_count == tuple((1 << m) - 2 * s for s in too_small)
 
 
 @pytest.mark.parametrize("m", [*range(1, 23), 100, 101, 1000, 1001, 2000])
@@ -492,15 +477,13 @@ def _efx_partition_cases(m):
 
 
 @pytest.mark.parametrize("m", range(1, 13))
-def test_efx_partition_equals_the_full_scan(monkeypatch, m):
-    """The block scan returns the full scan's first two-sided EFX bundle
-    (tests/oracles.py) whatever the first block's size, late hits included:
-    the tight instance's hit is the last bundle of the last block."""
+def test_efx_partition_equals_the_full_scan(m):
+    """The doubling scan returns the full scan's first two-sided EFX bundle
+    (tests/oracles.py), late hits included: the tight instance's hit is the
+    last bundle of the last block."""
     for v in _efx_partition_cases(m):
         first = first_two_sided_efx(v)
-        for block in (1, 3, census._EFX_SCAN_BLOCK):
-            monkeypatch.setattr(census, "_EFX_SCAN_BLOCK", block)
-            assert efx_partition(v) == (first, complement(first, m))
+        assert efx_partition(v) == (first, complement(first, m))
     assert first == (1 << (m - 1)) - 1
 
 
@@ -587,13 +570,13 @@ def _mask_walks(monkeypatch, inst):
     """The list that records each covering walk reading one of inst's
     tables, by the valuation whose table it reads."""
     walks = []
-    real = model._covering_halves
+    real = model._covering_walk
 
-    def recorded(read=(), **arrays):
+    def recorded(visit, read=(), **arrays):
         walks.extend(v for v in (inst.v1, inst.v2) if read and read[0] is v.table)
-        return real(read=read, **arrays)
+        real(visit, read=read, **arrays)
 
-    monkeypatch.setattr(model, "_covering_halves", recorded)
+    monkeypatch.setattr(model, "_covering_walk", recorded)
     return walks
 
 
@@ -829,33 +812,40 @@ def test_cut_and_choose_equals_the_pairing_oracle(m):
             assert cut_and_choose_efx(inst) == _cut_and_choose_reference(inst)
 
 
-def _relabelled(array, axes):
-    """A bundle-indexed array with its items relabelled: one transpose of
-    the array seen as a (2,)*m cube."""
-    m = array.shape[-1].bit_length() - 1
-    return np.transpose(array.reshape((2,) * m), axes).reshape(-1)
+def _relabelling_instances(m):
+    """Random and tie-heavy instances, then additive agents with tied and
+    zero items and a tie-heavy agent, each paired with the next."""
+    for k in range(3):
+        tie_heavy = [Valuation(m, small_value_table(m, 40 * m + 2 * k + j)) for j in range(2)]
+        yield from (random_instance(m, 20 * m + k), Instance(*tie_heavy))
+    tied = ([2, 2], [1, 1, 2, 2], [3, 3, 3, 1, 1], [0, 0, 1, 1, 2, 2], [2] * 6, [1, 0, 1, 0, 1])
+    agents = [make_additive(w) for w in tied if len(w) == m] + [
+        make_additive([1 + i % 3 for i in range(m)]),
+        make_additive([2] * (m - 1) + [m]),
+        Valuation(m, small_value_table(m, m)),
+    ]
+    yield from (Instance(v1, v2) for v1, v2 in zip(agents, agents[1:] + agents[:1]))
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_relabelling_items_or_swapping_agents_keeps_the_census(m):
-    """On random and tie-heavy instances: relabelling the items leaves the
-    census report unchanged and permutes each class mask the same way;
-    swapping the agents leaves both allocation counts unchanged."""
+    """Relabelling the items leaves the census report unchanged and
+    permutes the EFX mask and each class mask the same way; swapping the
+    agents leaves both allocation counts unchanged."""
     rng = np.random.default_rng(m)
-    for k in range(3):
-        tie_heavy = [Valuation(m, small_value_table(m, 40 * m + 2 * k + j)) for j in range(2)]
-        for inst in (random_instance(m, 20 * m + k), Instance(*tie_heavy)):
-            report = census_report(inst)
-            agents = (inst.v1, inst.v2)
-            for axes in (np.arange(m)[::-1], rng.permutation(m)):
-                moved = [Valuation(m, _relabelled(v.table, axes), v.denom) for v in agents]
-                assert census_report(Instance(*moved)) == report
-                for v, w in zip(agents, moved):
-                    classes = census._bundle_classes(v.ef1_mask)
-                    for cls, moved_cls in zip(classes, census._bundle_classes(w.ef1_mask)):
-                        assert np.array_equal(_relabelled(cls, axes), moved_cls)
-            swapped = census_report(Instance(inst.v2, inst.v1))
-            assert (swapped.ef1_count, swapped.efx_count) == (report.ef1_count, report.efx_count)
+    for inst in _relabelling_instances(m):
+        report = census_report(inst)
+        agents = (inst.v1, inst.v2)
+        for perm in (np.arange(m)[::-1], rng.permutation(m)):
+            moved = [Valuation(m, relabelled(v.table, perm), v.denom) for v in agents]
+            assert census_report(Instance(*moved)) == report
+            for v, w in zip(agents, moved):
+                assert np.array_equal(relabelled(v.efx_mask, perm), w.efx_mask)
+                classes = census._bundle_classes(v.ef1_mask)
+                for cls, moved_cls in zip(classes, census._bundle_classes(w.ef1_mask)):
+                    assert np.array_equal(relabelled(cls, perm), moved_cls)
+        swapped = census_report(Instance(inst.v2, inst.v1))
+        assert (swapped.ef1_count, swapped.efx_count) == (report.ef1_count, report.efx_count)
 
 
 # ---------------------------------------------------------------------------

