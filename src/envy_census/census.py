@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import model
-from .combinatorics import _marks_above, _mask_to_set, _popcounts, _words, binom
+from .combinatorics import _bundle_vectors, _marks_above, _mask_to_set, _popcounts, _words, binom
 from .model import Instance, Valuation, make_additive, tight_ef1_instance, tight_efx_instance
 
 
@@ -212,33 +212,21 @@ def combine_ef1_partitions(
     """Merge per-agent EF1 partition lists into distinct EF1 allocations.
 
     Inputs are canonical partition representatives (the format of
-    list_ef1_partitions), an array of any shape being read as its entries:
-    each must be EF1 on both sides for its agent, or a ValueError is
-    raised. A partition on both lists contributes both orderings; a
-    partition on one list contributes the ordering where the *other* agent
-    takes a weakly preferred side (ties go to the representative). The result therefore has exactly one allocation per
-    distinct representative on each list, all EF1.
+    list_ef1_partitions): bundles of items 0..m-2, under the member rule of
+    the set-system checks (see `_bundle_vectors`), an array of any shape
+    being read as its entries. Each must be EF1 on both sides for its
+    agent, or a ValueError names the least that is not, agent 1's first. A
+    partition on both lists contributes both orderings; a partition on one
+    list contributes the ordering where the *other* agent takes a weakly
+    preferred side (ties go to the representative). The result therefore
+    has exactly one allocation per distinct representative on each list,
+    all EF1.
     """
-    what = "canonical partition representative"
-    arrays = [
-        model._bundle_array(p.ravel() if isinstance(p, np.ndarray) else p, what)
-        for p in (partitions_1, partitions_2)
-    ]
-    # Each agent's proposals marked over the canonical half.
-    marks = np.zeros((2, 1 << (inst.m - 1)), dtype=bool)
-    for agent, (arr, mark, v) in enumerate(zip(arrays, marks, (inst.v1, inst.v2)), start=1):
-        # One array check: the range, then one lookup of the good class.
-        good = _canonical_half(_bundle_classes(v.ef1_mask)[2])
-        canonical = (arr >= 0) & (arr < good.size)
-        ok = canonical & good[np.where(canonical, arr, 0).astype(np.int64)]
-        if not ok.all():
-            # Name the first bad representative in set order.
-            bad = set(arr[~ok].tolist())
-            rep = next(rep for rep in set(arr.tolist()) if rep in bad)
-            if not 0 <= rep < good.size:
-                raise ValueError(f"{rep} is not a {what} for m={inst.m}")
-            raise ValueError(f"partition {rep} is not EF1 for agent {agent}")
-        mark[arr] = True
+    marks = _bundle_vectors(partitions_1, partitions_2, m=inst.m - 1)
+    for agent, (mark, v) in enumerate(zip(marks, (inst.v1, inst.v2)), start=1):
+        bad = mark & ~_canonical_half(_bundle_classes(v.ef1_mask)[2])
+        if bad.any():
+            raise ValueError(f"partition {np.argmax(bad)} is not EF1 for agent {agent}")
     mark_1, mark_2 = marks
     first = _pairings(inst, *map(np.flatnonzero, (mark_1 & mark_2, mark_1 & ~mark_2, mark_2 & ~mark_1)))
     return set(zip(first.tolist(), (model.full_bundle(inst.m) ^ first).tolist()))

@@ -165,12 +165,9 @@ def _vector_distance(a: np.ndarray, b: np.ndarray):
     Each item's step is one np.minimum of the pair view and its swapped
     halves plus one, lo = min(lo, hi + 1) and hi = min(hi, lo + 1) from the
     old entries: the same as relaxing lo first and hi from the new lo,
-    since min(hi, min(lo, hi + 1) + 1) = min(hi, lo + 1). Systems that
-    share a bundle are at distance 0 without the walk."""
+    since min(hi, min(lo, hi + 1) + 1) = min(hi, lo + 1)."""
     if not (a.any() and b.any()):
         return math.inf
-    if (a & b).any():
-        return 0
     far = np.int8(model.MAX_ITEMS + 1)
     dist = np.where(a, np.int8(0), far)
     model._covering_walk(lambda _, p: np.minimum(p, p[..., ::-1, :] + 1, out=p), updated=[dist])

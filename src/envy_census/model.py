@@ -440,11 +440,10 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     before the high items. Each item's compare is a boolean temporary of at
     most half the entries, freed before the final compares. For one int32
     table the final compares set the peak from m = 20 up, and the tile
-    buffers below. Once the EF1 mask holds t >= rt, rt's bytes hold m - |b|
-    and then the n[b] != m - |b| flags, and the EFX mask is written over
-    n."""
-    size = tables.shape[-1]
-    m = size.bit_length() - 1
+    buffers below. rt is freed once the EF1 mask holds t >= rt. Then n[b]
+    != m - |b| is read as n[b] + |b| != m: |b| is added to n in place, after
+    the EFX mask is read off n, and the flags are written over n."""
+    m = tables.shape[-1].bit_length() - 1
     rt = tables[..., ::-1].copy()
     counts = np.empty(tables.shape, dtype=np.uint8)
 
@@ -454,14 +453,10 @@ def _removal_masks(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     _covering_walk(count_envied, read=[tables, rt], zeroed=[counts])
     ef1 = np.greater_equal(tables, rt)
-    free = rt.reshape(-1).view(np.uint8)
-    outside = free[:size]
-    outside[0] = m
-    for i in range(m):
-        np.subtract(outside[: 1 << i], 1, out=outside[1 << i : 2 << i])
-    flags = free[size : size + tables.size].view(bool).reshape(tables.shape)
-    ef1 |= np.not_equal(counts, outside, out=flags)
-    efx = np.equal(counts, 0, out=counts.view(bool))
+    del rt
+    efx = counts == 0
+    counts += _additive_table([1] * m, 0, np.uint8)
+    ef1 |= np.not_equal(counts, m, out=counts.view(bool))
     ef1.setflags(write=False)
     efx.setflags(write=False)
     return ef1, efx

@@ -17,6 +17,7 @@ from envy_census import (
     bjorner_feasible,
     bundle_of,
     cascade_decompose,
+    combine_ef1_partitions,
     extract_set_systems,
     hamming_distance,
     is_sperner,
@@ -127,8 +128,8 @@ def test_distance_and_sperner_checks_on_several_tiles():
 
 
 def test_system_distance_of_intersecting_systems_is_zero():
-    """Systems that share a bundle skip the walk; the answer is still the
-    oracle's 0, wherever the shared bundle sits."""
+    """Systems that share a bundle are at the oracle's distance 0, wherever
+    the shared bundle sits."""
     rng = np.random.default_rng(53)
     for m in (9, 12, 16):
         for _ in range(4):
@@ -232,14 +233,21 @@ def test_set_system_checks_reject_out_of_range_bundles(bundle):
 )
 def test_out_of_range_bundles_raise_value_error_naming_the_first(systems, first_bad):
     """Members beyond int64 raise ValueError, never OverflowError, and the
-    message names the first bad member, systems taken in argument order."""
-    with pytest.raises(ValueError, match=rf"^bundle {first_bad} is outside"):
+    message names the first bad member, systems taken in argument order;
+    so do partition representatives, bundles of items 0..m-2."""
+    with pytest.raises(ValueError, match=rf"^bundle {first_bad} is outside 0\.\.2\^{MAX_ITEMS}-1$"):
         system_distance(*systems)
+    with pytest.raises(ValueError, match=rf"^bundle {first_bad} is outside 0\.\.2\^3-1$"):
+        combine_ef1_partitions(*systems, tight_ef1_instance(4))
 
 
 def test_members_follow_the_bundle_rule():
     """Members are bundles: a non-integer raises TypeError, a bool ValueError,
-    and nothing is truncated; numpy integers and integer arrays are taken."""
+    and nothing is truncated; numpy integers and integer arrays are taken.
+    Partition representatives follow the same rule, list 1 converted before
+    list 2 and both before any range check: at m = 4, 3, 5 and 6 are the
+    tight instance's EF1 representatives, and 99 is out of range."""
+    inst = tight_ef1_instance(4)
     for bad in (2.7, "5", Fraction(9, 2), None, np.array([1.0, 2.0])):
         members = bad if isinstance(bad, np.ndarray) else [1, bad]
         with pytest.raises(TypeError):
@@ -248,6 +256,10 @@ def test_members_follow_the_bundle_rule():
             system_distance({0}, members)
         with pytest.raises(TypeError):
             verify_harper(members, {0}, 3)
+        with pytest.raises(TypeError):
+            combine_ef1_partitions(members, [True], inst)
+        with pytest.raises(TypeError):
+            combine_ef1_partitions([99], members, inst)
     for bad in ([1, True], [np.True_], np.array([False, True])):
         with pytest.raises(ValueError):
             is_sperner(bad)
@@ -255,14 +267,21 @@ def test_members_follow_the_bundle_rule():
             system_distance(bad, {7})
         with pytest.raises(ValueError):
             verify_harper({7}, bad, 3)
+        with pytest.raises(ValueError, match="not a bool"):
+            combine_ef1_partitions(bad, [2.7], inst)
+        with pytest.raises(ValueError, match="not a bool"):
+            combine_ef1_partitions([99], bad, inst)
     members = [np.int8(3), np.uint64(6), 5]
     assert is_sperner(members) == is_sperner({3, 5, 6})
     assert system_distance(members, {7}) == system_distance({3, 5, 6}, {7}) == 1
+    whole = combine_ef1_partitions({3, 5, 6}, {3}, inst)
+    assert combine_ef1_partitions(members, [np.int64(3)], inst) == whole
     for dtype in (np.int8, np.int64, np.uint16, np.uint64):
         array = np.array([3, 5, 6], dtype=dtype)
         assert is_sperner(array) == is_sperner({3, 5, 6})
         assert system_distance(array, {7}) == 1
         assert verify_harper(array, {0}, 3) == verify_harper({3, 5, 6}, {0}, 3)
+        assert combine_ef1_partitions(array, array[:1], inst) == whole
     # A uint64 array is never cast through int64, which would wrap it.
     for value in (2**63, 2**64 - 1):
         members = np.array([1, value], dtype=np.uint64)
@@ -270,12 +289,26 @@ def test_members_follow_the_bundle_rule():
             is_sperner(members)
         with pytest.raises(ValueError, match=rf"^bundle {value} is outside 0\.\.2\^3-1$"):
             verify_harper({0}, members, 3)
+        with pytest.raises(ValueError, match=rf"^bundle {value} is outside 0\.\.2\^3-1$"):
+            combine_ef1_partitions([3], members, inst)
 
 
 def test_integer_arrays_of_any_shape_are_read_as_their_entries():
     """A zero-dimensional or nested integer array, int64 or object, is the
-    system of its entries, as in combine_ef1_partitions, and a range error
-    still names the first bad member, systems taken in argument order."""
+    system of its entries, and so is a list of partition representatives,
+    and a range error still names the first bad member, systems taken in
+    argument order."""
+    inst = tight_ef1_instance(4)
+    assert combine_ef1_partitions(np.array([[3, 5]]), np.array(6), inst) == combine_ef1_partitions(
+        [3, 5], [6], inst
+    )
+    assert combine_ef1_partitions(np.array([[5]], dtype=object), np.array(3, dtype=object), inst) == (
+        combine_ef1_partitions([5], [3], inst)
+    )
+    with pytest.raises(ValueError, match=r"^bundle -3 is outside 0\.\.2\^3-1$"):
+        combine_ef1_partitions(np.array([[3, -3], [9, 0]]), np.array(-7), inst)
+    with pytest.raises(ValueError, match=r"^bundle 8 is outside 0\.\.2\^3-1$"):
+        combine_ef1_partitions(np.array([[3], [5]]), np.array([[8, -1]], dtype=object), inst)
     assert system_distance(np.array(3), [1]) == 1
     assert is_sperner(np.array(5)) is True
     assert is_sperner(np.array(5, dtype=object)) is True

@@ -795,14 +795,14 @@ def test_joint_removal_masks_of_the_tight_families(m):
         assert counts[which] == bound
 
 
-def test_joint_walk_peak_is_the_reversed_table_and_the_masks():
-    """The joint walk's transient memory at m = 20 (16 tiles): its traced
-    peak is no more than the reversed table, whose bytes it reuses, and the
-    two one-byte masks, plus 8 KiB of slack (measured: under 2 KB). Each
+@pytest.mark.parametrize("m", [20, 24])
+def test_joint_walk_peak_is_the_reversed_table_and_the_masks(m):
+    """The joint walk's transient memory at m = 20 (16 tiles) and at the top
+    of the range: its traced peak is no more than the reversed table and
+    the two one-byte masks, plus 8 KiB of slack (measured: under 2 KB). Each
     item's compare is a temporary of at most half the entries, freed before
     the final compares, and the tile buffers (576 KiB) are released before
     the high items, so from m = 20 up the final compares set the peak."""
-    m = 20
     table = random_monotone(m, 5).table
     tracemalloc.start()
     try:

@@ -30,6 +30,8 @@ INSTANCES = {
     "tight-ef1-m9.json": "gen tight-ef1 --m 9",
     "tight-efx-m7.json": "gen tight-efx --m 7",
     "additive-m6.json": "gen additive --m 6 --values 1/2,0.25,3,7/3,1,1/3 --values2 2,1/3,1/3,5,0.75,4",
+    "random-monotone-m4.json": "gen random-monotone --m 4 --seed 1",
+    "tight-ef1-m5.json": "gen tight-ef1 --m 5",
 }
 # Run on every instance file: each report, and each list of both agents.
 COUNT_OPTIONS = [f"--fairness {kind}" for kind in ("ef1", "efx", "both")] + [
